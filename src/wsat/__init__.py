@@ -73,9 +73,6 @@ from .experiments import (
     expected_copies,
     neighborhood_property_check,
     run_experiment,
-    sandwich_check,
-    stability_experiment,
-    threshold_scan,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

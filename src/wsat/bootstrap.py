@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from collections import deque
 
-from .errors import PreconditionError
+from .errors import ParameterError, PreconditionError
 from .graph import Edge, Graph
 from .patterns import CopyWitness, Pattern, contains_copy, copy_through_edge
 
@@ -38,12 +38,24 @@ class ActivationTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "ActivationTrace":
-        data = json.loads(text)
-        steps = [
-            ((int(d["edge"][0]), int(d["edge"][1])), CopyWitness(tuple(d["witness"])))
+        """Parse the :meth:`to_json` form; anything else is a ParameterError."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ParameterError(f"trace is not JSON: {exc}") from None
+        if not isinstance(data, list) or not all(
+            isinstance(d, dict) and _ints(d.get("edge"), 2) and _ints(d.get("witness"))
             for d in data
-        ]
-        return cls(steps)
+        ):
+            raise ParameterError('trace must be a list of {"edge": [u, v], '
+                                 '"witness": [...]} objects with integer entries')
+        return cls([(tuple(d["edge"]), CopyWitness(tuple(d["witness"]))) for d in data])
+
+
+def _ints(xs, length: int | None = None) -> bool:
+    """A JSON list of ints; bools and floats are rejected, not converted."""
+    return (isinstance(xs, list) and length in (None, len(xs))
+            and all(type(x) is int for x in xs))
 
 
 @dataclass

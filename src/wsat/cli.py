@@ -8,7 +8,7 @@ Graph arguments accept either a ``family:params`` shorthand (``complete:5``,
 Output: JSON payload on stdout (keys sorted), a one-line human summary on
 stderr.  Exit codes: 0 success, 1 domain error (structure absent, failed
 verification, out-of-range formula), 2 usage error (bad flags, unreadable
-files, malformed graphs).
+files, malformed graphs or traces).
 """
 
 from __future__ import annotations
@@ -62,17 +62,6 @@ DOMAIN_ERRORS = (
     UndefinedDensityError,
 )
 
-_SHORTHAND = {
-    "complete": "complete",
-    "cbip": "cbip",
-    "complete_bipartite": "cbip",
-    "star": "star",
-    "path": "path",
-    "cycle": "cycle",
-    "empty": "empty",
-    "matching": "matching",
-}
-
 
 def parse_graph_arg(spec: str, seed: int = 0) -> Graph:
     """family:params shorthand or an edge-list file path."""
@@ -82,15 +71,21 @@ def parse_graph_arg(spec: str, seed: int = 0) -> Graph:
         if tag == "gnp":
             if len(parts) != 2:
                 raise ParameterError("gnp takes two parameters: gnp:n,p")
-            return sample_gnp(int(parts[0]), float(parts[1]), Seed(seed))
-        if tag in _SHORTHAND:
-            return build_named_graph(_SHORTHAND[tag], *(int(p) for p in parts))
-        raise ParameterError(f"unknown graph shorthand {tag!r}")
+            return sample_gnp(_number(int, parts[0]), _number(float, parts[1]), Seed(seed))
+        return build_named_graph(tag, *(_number(int, p) for p in parts))
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             return decode_edge_list(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read graph file {spec!r}: {exc}") from exc
+
+
+def _number(kind, text: str):
+    """int(text) or float(text), as a usage error when text is not a number."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterError(f"expected a number, got {text!r}") from None
 
 
 def parse_pattern_arg(spec: str, seed: int = 0) -> Pattern:
@@ -100,10 +95,10 @@ def parse_pattern_arg(spec: str, seed: int = 0) -> Pattern:
 def _emit(payload: dict, summary: str, args) -> None:
     text = json.dumps(payload, sort_keys=True)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    if not getattr(args, "json", False):
+    if not args.json:
         print(summary, file=sys.stderr)
 
 
@@ -111,7 +106,7 @@ def _emit(payload: dict, summary: str, args) -> None:
 
 
 def cmd_closure(args) -> int:
-    host = parse_graph_arg(args.host, args_seed(args))
+    host = parse_graph_arg(args.host)
     f = parse_pattern_arg(args.pattern)
     seed_graph = parse_graph_arg(args.seed)
     res = closure(host, f, seed_graph)
@@ -133,7 +128,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.trace, "r", encoding="utf-8") as fh:
             trace = ActivationTrace.from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read trace file: {exc}") from exc
     ok, idx, reason = verify_trace_detailed(host, f, seed_graph, trace)
     _emit({"valid": ok, "first_failure": idx, "reason": reason},
@@ -142,7 +137,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    seed = args_seed(args)
+    seed = args.rng_seed
     host = parse_graph_arg(args.host, seed)
     f = parse_pattern_arg(args.pattern)
     budget = SearchBudget(args.budget_nodes, args.budget_seconds)
@@ -176,7 +171,7 @@ def cmd_formula(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    seed = args_seed(args)
+    seed = args.rng_seed
     f = parse_pattern_arg(args.pattern)
     if args.method == "complete":
         if args.n is None:
@@ -231,7 +226,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    seed = args_seed(args)
+    seed = args.rng_seed
     f = parse_pattern_arg(args.pattern)
     if args.mode == "neighborhood":
         if args.host is None or args.k is None or args.p is None:
@@ -243,16 +238,15 @@ def cmd_experiment(args) -> int:
         return 0
     if args.n is None:
         raise ParameterError("--n is required")
-    pgrid = [float(x) for x in args.pgrid.split(",")] if args.pgrid else [0.5]
+    pgrid = [_number(float, x) for x in args.pgrid.split(",")] if args.pgrid else [0.5]
     budget = SearchBudget(args.budget_nodes, args.budget_seconds)
     cfg = ExperimentConfig(
         f=f, n=args.n, p_grid=pgrid, trials=args.trials,
         master_seed=seed, mode=args.mode, budget=budget,
     )
     report = run_experiment(cfg)
-    payload = json.loads(report.to_json())
-    print(json.dumps(payload, sort_keys=True))
-    if getattr(args, "out", None):
+    print(report.to_json())
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
     if not args.json:
@@ -262,37 +256,26 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_count(args) -> int:
-    host = parse_graph_arg(args.host, args_seed(args))
+    host = parse_graph_arg(args.host, args.rng_seed)
     f = parse_pattern_arg(args.pattern)
     c = count_copies(host, f)
     _emit({"copies": c, "aut": f.aut}, f"{c} copies", args)
     return 0
 
 
-def args_seed(args) -> int:
-    s = getattr(args, "rng_seed", None)
-    return 0 if s is None else s
-
-
 # -- parser ------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    graphless = argparse.ArgumentParser(add_help=False)
+    graphless.add_argument("--json", action="store_true",
+                           help="suppress the human summary on stderr")
+    graphless.add_argument("--out", metavar="FILE",
+                           help="also write the payload (CSV for experiments) to FILE")
+
+    common = argparse.ArgumentParser(add_help=False, parents=[graphless])
     common.add_argument("--seed", dest="rng_seed", type=int, default=0,
                         help="master RNG seed (drives every randomized choice)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker count (1 = fully deterministic; "
-                             "computations are value-deterministic regardless)")
-    common.add_argument("--json", action="store_true",
-                        help="suppress the human summary on stderr")
-    common.add_argument("--out", metavar="FILE",
-                        help="also write the payload (CSV for experiments) to FILE")
-
-    graphless = argparse.ArgumentParser(add_help=False)
-    graphless.add_argument("--workers", type=int, default=1)
-    graphless.add_argument("--json", action="store_true")
-    graphless.add_argument("--out", metavar="FILE")
 
     p = argparse.ArgumentParser(prog="wsat", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)

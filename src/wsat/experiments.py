@@ -18,9 +18,9 @@ from itertools import combinations
 from math import comb, factorial
 
 from .errors import ParameterError
-from .graph import Graph, Seed, complete, derive_seed, sample_gnp
+from .graph import Graph, Seed, cliques, common_neighbors, complete, derive_seed, sample_gnp
 from .patterns import Pattern, contains_copy, count_copies
-from .solver import SearchBudget, wsat_exact
+from .solver import SearchBudget, WsatResult, wsat_exact
 
 
 @dataclass
@@ -136,98 +136,11 @@ def _mean(xs):
     return sum(xs) / len(xs) if xs else 0.0
 
 
-def _trial_graph(cfg: ExperimentConfig, p_idx: int, trial: int) -> tuple[Graph, int]:
-    s = derive_seed(cfg.master_seed, p_idx, trial)
-    return sample_gnp(cfg.n, cfg.p_grid[p_idx], Seed(s)), s
-
-
 def expected_copies(n: int, p: float, f: Pattern) -> float:
     """E(X_F) in G(n,p): (s!/|Aut(F)|) * C(n,s) * p^t."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must lie in [0,1]")
     return factorial(f.s) / f.aut * comb(n, f.s) * p**f.t
-
-
-def stability_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Per trial: does wsat(G(n,p), F) equal wsat(K_n, F)?  Aggregates the
-    equality fraction per p.  Budget-exceeded trials are recorded with status
-    "budget" and excluded from aggregates (counted separately)."""
-    base = wsat_exact(complete(cfg.n), cfg.f, cfg.budget)
-    if base.exact is None:
-        raise ParameterError("budget too small to solve the complete host")
-    report = ExperimentReport("stability", cfg.n, cfg.master_seed)
-    report.annotations["wsat_complete"] = base.exact
-    for p_idx in range(len(cfg.p_grid)):
-        for trial in range(cfg.trials):
-            g, s = _trial_graph(cfg, p_idx, trial)
-            t0 = time.monotonic()
-            res = wsat_exact(g, cfg.f, cfg.budget)
-            rec = TrialRecord(
-                p=cfg.p_grid[p_idx], trial=trial, seed=s, edges=g.m_edges,
-                x_f=count_copies(g, cfg.f),
-                wsat_lower=res.lower, wsat_exact=res.exact, wsat_upper=res.upper,
-                elapsed=time.monotonic() - t0,
-            )
-            if res.budget_exceeded:
-                rec.status = "budget"
-            else:
-                rec.equal_to_complete = res.exact == base.exact
-            report.records.append(rec)
-    report.aggregates = report.recompute_aggregates()
-    return report
-
-
-def sandwich_check(cfg: ExperimentConfig) -> ExperimentReport:
-    """Asserts |E(G)| - X_F(G) <= wsat(G,F) <= |E(G)| on every trial (a
-    violation is an engine bug) and aggregates X_F/|E| per p."""
-    report = ExperimentReport("sandwich", cfg.n, cfg.master_seed)
-    report.annotations["mu_F"] = str(cfg.f.mu_F)
-    report.annotations["p_threshold_mu"] = cfg.n ** (-1 / float(cfg.f.mu_F))
-    for p_idx in range(len(cfg.p_grid)):
-        for trial in range(cfg.trials):
-            g, s = _trial_graph(cfg, p_idx, trial)
-            x_f = count_copies(g, cfg.f)
-            t0 = time.monotonic()
-            res = wsat_exact(g, cfg.f, cfg.budget)
-            rec = TrialRecord(
-                p=cfg.p_grid[p_idx], trial=trial, seed=s, edges=g.m_edges,
-                x_f=x_f, wsat_lower=res.lower, wsat_exact=res.exact,
-                wsat_upper=res.upper, elapsed=time.monotonic() - t0,
-            )
-            if res.budget_exceeded:
-                rec.status = "budget"
-            else:
-                if not g.m_edges - x_f <= res.exact <= g.m_edges:
-                    raise AssertionError(
-                        f"sandwich violated at p={rec.p} trial={trial}: "
-                        f"|E|={g.m_edges} X_F={x_f} wsat={res.exact}"
-                    )
-            report.records.append(rec)
-    report.aggregates = report.recompute_aggregates()
-    return report
-
-
-def threshold_scan(cfg: ExperimentConfig) -> ExperimentReport:
-    """Fraction of trials in which G(n,p) contains a copy of F, per p,
-    annotated with the n^{-1/m(F)} and n^{-1/mu(F)} markers."""
-    report = ExperimentReport("scan", cfg.n, cfg.master_seed)
-    report.annotations = {
-        "m_F": str(cfg.f.m_F),
-        "mu_F": str(cfg.f.mu_F),
-        "p_threshold_m": cfg.n ** (-1 / float(cfg.f.m_F)),
-        "p_threshold_mu": cfg.n ** (-1 / float(cfg.f.mu_F)),
-    }
-    for p_idx in range(len(cfg.p_grid)):
-        for trial in range(cfg.trials):
-            g, s = _trial_graph(cfg, p_idx, trial)
-            report.records.append(
-                TrialRecord(
-                    p=cfg.p_grid[p_idx], trial=trial, seed=s, edges=g.m_edges,
-                    has_copy=contains_copy(g, cfg.f),
-                )
-            )
-    report.aggregates = report.recompute_aggregates()
-    return report
 
 
 def neighborhood_property_check(
@@ -257,15 +170,11 @@ def neighborhood_property_check(
     big = 0
     cliqued = 0
     for sub in subsets:
-        common = set(g.adj[sub[0]])
-        for v in sub[1:]:
-            common &= g.adj[v]
-        common -= set(sub)
+        common = common_neighbors(g, sub)
         if len(common) >= need:
             big += 1
-        if k == 2:
-            if _has_clique(g, sorted(common), f.s - 2):
-                cliqued += 1
+        if k == 2 and next(cliques(g, common, f.s - 2), None) is not None:
+            cliqued += 1
     out = {
         "subsets_checked": len(subsets),
         "sampled": sampled,
@@ -278,31 +187,85 @@ def neighborhood_property_check(
     return out
 
 
-def _has_clique(g: Graph, pool: list[int], size: int) -> bool:
-    if size <= 0:
-        return True
-    if len(pool) < size:
-        return False
+def _solve(cfg: ExperimentConfig, g: Graph, rec: TrialRecord) -> WsatResult:
+    """Exact-solve a trial host, filling x_f, the wsat fields and the status."""
+    res = wsat_exact(g, cfg.f, cfg.budget)
+    rec.x_f = count_copies(g, cfg.f)
+    rec.wsat_lower, rec.wsat_exact, rec.wsat_upper = res.lower, res.exact, res.upper
+    if res.budget_exceeded:
+        rec.status = "budget"
+    return res
 
-    def extend(chosen: int, cands: list[int]) -> bool:
-        if chosen == size:
-            return True
-        if chosen + len(cands) < size:
-            return False
-        for i, v in enumerate(cands):
-            nxt = [u for u in cands[i + 1:] if u in g.adj[v]]
-            if extend(chosen + 1, nxt):
-                return True
-        return False
 
-    return extend(0, pool)
+def _stability(cfg: ExperimentConfig, report: ExperimentReport):
+    """Per trial: does wsat(G(n,p), F) equal wsat(K_n, F)?  Aggregates the
+    equality fraction per p.  Budget-exceeded trials are recorded with status
+    "budget" and excluded from aggregates (counted separately)."""
+    base = wsat_exact(complete(cfg.n), cfg.f, cfg.budget)
+    if base.exact is None:
+        raise ParameterError("budget too small to solve the complete host")
+    report.annotations["wsat_complete"] = base.exact
+
+    def trial(g: Graph, rec: TrialRecord) -> None:
+        res = _solve(cfg, g, rec)
+        if not res.budget_exceeded:
+            rec.equal_to_complete = res.exact == base.exact
+
+    return trial
+
+
+def _sandwich(cfg: ExperimentConfig, report: ExperimentReport):
+    """Asserts |E(G)| - X_F(G) <= wsat(G,F) <= |E(G)| on every trial (a
+    violation is an engine bug) and aggregates X_F/|E| per p."""
+    report.annotations["mu_F"] = str(cfg.f.mu_F)
+    report.annotations["p_threshold_mu"] = cfg.n ** (-1 / float(cfg.f.mu_F))
+
+    def trial(g: Graph, rec: TrialRecord) -> None:
+        res = _solve(cfg, g, rec)
+        if not res.budget_exceeded and not g.m_edges - rec.x_f <= res.exact <= g.m_edges:
+            raise AssertionError(
+                f"sandwich violated at p={rec.p} trial={rec.trial}: "
+                f"|E|={g.m_edges} X_F={rec.x_f} wsat={res.exact}"
+            )
+
+    return trial
+
+
+def _scan(cfg: ExperimentConfig, report: ExperimentReport):
+    """Fraction of trials in which G(n,p) contains a copy of F, per p,
+    annotated with the n^{-1/m(F)} and n^{-1/mu(F)} markers."""
+    report.annotations.update({
+        "m_F": str(cfg.f.m_F),
+        "mu_F": str(cfg.f.mu_F),
+        "p_threshold_m": cfg.n ** (-1 / float(cfg.f.m_F)),
+        "p_threshold_mu": cfg.n ** (-1 / float(cfg.f.mu_F)),
+    })
+
+    def trial(g: Graph, rec: TrialRecord) -> None:
+        rec.has_copy = contains_copy(g, cfg.f)
+
+    return trial
+
+
+# each mode annotates the report and returns its per-trial function
+_MODES = {"stability": _stability, "sandwich": _sandwich, "scan": _scan}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.mode == "stability":
-        return stability_experiment(cfg)
-    if cfg.mode == "sandwich":
-        return sandwich_check(cfg)
-    if cfg.mode == "scan":
-        return threshold_scan(cfg)
-    raise ParameterError(f"unknown experiment mode {cfg.mode!r}")
+    """Run cfg.mode ("stability", "sandwich" or "scan") on cfg.trials samples
+    of G(n, p) for each p in the grid, then aggregate the records per p."""
+    if cfg.mode not in _MODES:
+        raise ParameterError(f"unknown experiment mode {cfg.mode!r}")
+    report = ExperimentReport(cfg.mode, cfg.n, cfg.master_seed)
+    trial = _MODES[cfg.mode](cfg, report)
+    for p_idx, p in enumerate(cfg.p_grid):
+        for t in range(cfg.trials):
+            s = derive_seed(cfg.master_seed, p_idx, t)
+            g = sample_gnp(cfg.n, p, Seed(s))
+            rec = TrialRecord(p=p, trial=t, seed=s, edges=g.m_edges)
+            t0 = time.monotonic()
+            trial(g, rec)
+            rec.elapsed = time.monotonic() - t0
+            report.records.append(rec)
+    report.aggregates = report.recompute_aggregates()
+    return report

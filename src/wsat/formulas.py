@@ -18,7 +18,7 @@ from .errors import (
     RangeError,
     StructureAbsentError,
 )
-from .graph import Graph, Seed, complete
+from .graph import Graph, Seed, cliques, common_neighbors, complete
 from .patterns import Pattern, contains_copy
 from .solver import SearchBudget, greedy_upper_bound, wsat_exact
 
@@ -156,40 +156,11 @@ def _first_unreached(host: Graph, f: Pattern, h: Graph):
     return {"reason": "closure stalled", "first_unreachable_edge": missing[0] if missing else None}
 
 
-def _find_clique(g: Graph, m: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically first m-clique, by backtracking over ascending vertices."""
-    def extend(chosen: list[int], cands: list[int]) -> Optional[tuple[int, ...]]:
-        if len(chosen) == m:
-            return tuple(chosen)
-        if len(chosen) + len(cands) < m:
-            return None
-        for i, v in enumerate(cands):
-            nxt = [u for u in cands[i + 1:] if u in g.adj[v]]
-            got = extend(chosen + [v], nxt)
-            if got is not None:
-                return got
-        return None
-
-    if m == 0:
-        return ()
-    return extend([], list(range(g.n)))
-
-
-def _max_clique(g: Graph, vertices: list[int]) -> list[int]:
-    """Maximum clique within a vertex subset (first one found among maximums)."""
-    best: list[int] = []
-
-    def extend(chosen: list[int], cands: list[int]) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(chosen) + len(cands) <= len(best):
-            return
-        for i, v in enumerate(cands):
-            nxt = [u for u in cands[i + 1:] if u in g.adj[v]]
-            extend(chosen + [v], nxt)
-
-    extend([], sorted(vertices))
+def _max_clique(g: Graph, vertices: list[int]) -> tuple[int, ...]:
+    """Lexicographically first maximum clique within a vertex subset."""
+    best: tuple[int, ...] = ()
+    while (bigger := next(cliques(g, vertices, len(best) + 1), None)) is not None:
+        best = bigger
     return best
 
 
@@ -218,15 +189,12 @@ def construct_random_host_saturator(
     if isinstance(seed, int):
         seed = Seed(seed)
     d = f.delta
-    omega = _find_clique(g, m)
+    omega = next(cliques(g, range(g.n), m), None)
     if omega is None:
         raise StructureAbsentError(f"host contains no clique of size {m}")
     omega_set = set(omega)
     edges = _greedy_core(g, list(omega), f, seed)
-    common = [
-        v for v in range(g.n)
-        if v not in omega_set and all(v in g.adj[u] for u in omega)
-    ]
+    common = common_neighbors(g, omega)
     if d - 1 > m:
         raise StructureAbsentError(
             f"clique size {m} cannot host delta-1 = {d-1} edges per vertex"
@@ -280,7 +248,7 @@ def construct_clique_partition_saturator(
         )
     S = parts[0][: s - 2]
     S_set = set(S)
-    nS = _common_neighbors(g, S)
+    nS = common_neighbors(g, S)
     edges: set = set()
     for i, part in enumerate(parts):
         edges |= _greedy_core(g, part, f, Seed(seed.master, seed.stream + i + 1))
@@ -295,7 +263,7 @@ def construct_clique_partition_saturator(
                 raise StructureAbsentError(
                     f"part {i} too small to pick S_i of size {s-1}"
                 )
-        r_pool = _common_neighbors(g, S + s_i)
+        r_pool = common_neighbors(g, S + s_i)
         if len(r_pool) < s - 2:
             raise StructureAbsentError(
                 f"part {i}: only {len(r_pool)} common neighbors of S u S_i, "
@@ -313,15 +281,6 @@ def construct_clique_partition_saturator(
             diagnostic=_first_unreached(g, f, h),
         )
     return h
-
-
-def _common_neighbors(g: Graph, vertices: list[int]) -> list[int]:
-    vs = set(vertices)
-    out = [
-        v for v in range(g.n)
-        if v not in vs and all(v in g.adj[u] for u in vertices)
-    ]
-    return out
 
 
 # -- stability profile -------------------------------------------------------

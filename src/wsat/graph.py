@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import GraphParseError, ParameterError, UndefinedDensityError
 
@@ -112,10 +112,13 @@ class Graph:
     def validate(self) -> None:
         """Re-check symmetry and loop-freeness over all pairs (test hook)."""
         for v in range(self.n):
-            assert v not in self.adj[v], f"loop at {v}"
+            if v in self.adj[v]:
+                raise AssertionError(f"loop at {v}")
             for u in self.adj[v]:
-                assert v in self.adj[u], f"asymmetric pair ({u},{v})"
-        assert 2 * self.m_edges == sum(len(s) for s in self.adj)
+                if v not in self.adj[u]:
+                    raise AssertionError(f"asymmetric pair ({u},{v})")
+        if 2 * self.m_edges != sum(len(s) for s in self.adj):
+            raise AssertionError("edge count disagrees with the adjacency sets")
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,28 @@ def derive_seed(master: int, *indices: int) -> int:
     for i in indices:
         h.update(struct.pack(">q", i))
     return int.from_bytes(h.digest()[:8], "big")
+
+
+def cliques(g: Graph, pool: Iterable[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Every ``size``-clique of G within ``pool``, as an ascending tuple, in
+    lexicographic order (backtracking over ascending candidates)."""
+    def extend(chosen: list[int], cands: list[int]) -> Iterator[tuple[int, ...]]:
+        if len(chosen) == size:
+            yield tuple(chosen)
+            return
+        if len(chosen) + len(cands) < size:
+            return
+        for i, v in enumerate(cands):
+            nxt = [u for u in cands[i + 1:] if u in g.adj[v]]
+            yield from extend(chosen + [v], nxt)
+
+    return extend([], sorted(pool))
+
+
+def common_neighbors(g: Graph, vertices: Iterable[int]) -> list[int]:
+    """Ascending list of the vertices outside ``vertices`` adjacent to all of them."""
+    vs = set(vertices)
+    return sorted(set(range(g.n)).intersection(*(g.adj[v] for v in vs)) - vs)
 
 
 # -- named families ----------------------------------------------------------

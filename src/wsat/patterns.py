@@ -171,7 +171,8 @@ def count_injective_maps(g, f: Pattern) -> int:
 def count_copies(g, f: Pattern) -> int:
     """Number of subgraphs of G isomorphic to F (injective maps / |Aut(F)|)."""
     total = count_injective_maps(g, f)
-    assert total % f.aut == 0
+    if total % f.aut:
+        raise AssertionError(f"{total} maps is not a multiple of |Aut(F)| = {f.aut}")
     return total // f.aut
 
 
@@ -203,21 +204,29 @@ class CopyWitness:
         return True
 
 
-def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
-    """First (deterministic) copy of F in G whose image contains the edge e.
+def _maps_through_edge(g, f: Pattern, e: Edge) -> Iterator[dict[int, int]]:
+    """Injective edge-preserving maps F -> G whose image contains e.
 
     Anchors each pattern edge onto e in both orientations and extends by
-    backtracking.  Returns None when no copy through e exists.
+    backtracking.  Each map realizes e through exactly one (pattern edge,
+    orientation), so there are |copies through e| * |Aut(F)| of them.
     """
+    u, v = e
+    for a, b in sorted(f.graph.edge_set):
+        for hu, hv in ((u, v), (v, u)):
+            yield from _iter_maps(f.graph, f.order, g, fixed={a: hu, b: hv})
+
+
+def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
+    """First (deterministic) copy of F in G whose image contains the edge e,
+    or None when no copy through e exists."""
     u, v = e
     if u > v:
         u, v = v, u
     if v not in g.adj[u]:
         raise ParameterError(f"edge ({u},{v}) not present in host")
-    for a, b in sorted(f.graph.edge_set):
-        for hu, hv in ((u, v), (v, u)):
-            for mapping in _iter_maps(f.graph, f.order, g, fixed={a: hu, b: hv}):
-                return CopyWitness(tuple(mapping[i] for i in range(f.s)))
+    for mapping in _maps_through_edge(g, f, (u, v)):
+        return CopyWitness(tuple(mapping[i] for i in range(f.s)))
     return None
 
 

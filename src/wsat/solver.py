@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .bootstrap import ActivationTrace, closure, is_weakly_saturated
-from .errors import PreconditionError
+from .errors import ParameterError, PreconditionError
 from .graph import Graph, Seed
-from .patterns import Pattern, contains_copy, copy_through_edge
+from .patterns import Pattern, _maps_through_edge, contains_copy, copy_through_edge
 
 
 @dataclass
@@ -26,7 +26,7 @@ class SearchBudget:
 
     def __post_init__(self):
         if self.max_nodes <= 0 or self.max_seconds <= 0:
-            raise ValueError("budget must be positive")
+            raise ParameterError("budget must be positive")
 
 
 @dataclass
@@ -160,22 +160,6 @@ def wsat_exact_naive(g: Graph, f: Pattern) -> int:
     raise AssertionError("unreachable")
 
 
-def _maps_through_edge(g: Graph, f: Pattern, e) -> int:
-    """Injective edge-preserving maps F -> G whose image contains e.
-
-    Each map realizes e through exactly one (pattern edge, orientation), so
-    summing anchored counts gives |copies through e| * |Aut(F)|.
-    """
-    from .patterns import _iter_maps
-
-    u, v = e
-    total = 0
-    for a, b in f.graph.edge_set:
-        for hu, hv in ((u, v), (v, u)):
-            total += sum(1 for _ in _iter_maps(f.graph, f.order, g, fixed={a: hu, b: hv}))
-    return total
-
-
 def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult:
     """Reverse-delete upper bound.
 
@@ -194,7 +178,7 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
     while True:
         scored: list[tuple[int, tuple[int, int]]] = []
         for e in sorted(work_edges):
-            c = _maps_through_edge(current, f, e)
+            c = sum(1 for _ in _maps_through_edge(current, f, e))
             if c:
                 scored.append((c, e))
         if not scored:

@@ -28,8 +28,8 @@ from wsat import (
     is_weakly_saturated,
     lower_bound_general,
     normalize_pattern,
+    run_experiment,
     sample_gnp,
-    stability_experiment,
     stability_profile,
     wsat_exact,
 )
@@ -172,7 +172,7 @@ BASELINE_FRACTION = 1.0
 
 def test_criterion_6_stability_frequency(k3):
     cfg = ExperimentConfig(k3, 7, [0.95], trials=30, master_seed=20230817)
-    rep = stability_experiment(cfg)
+    rep = run_experiment(cfg)
     agg = rep.aggregates[0]
     sha = hashlib.sha256(rep.to_json().encode()).hexdigest()
     ok = (sha == BASELINE_SHA256
@@ -180,7 +180,7 @@ def test_criterion_6_stability_frequency(k3):
           and agg["fraction_equal"] >= 0.5
           and agg["excluded"] == 0)
     # at p = 1 every trial host is K_n, so the fraction is exactly 1.0
-    one = stability_experiment(
+    one = run_experiment(
         ExperimentConfig(k3, 7, [1.0], trials=3, master_seed=20230817))
     ok = ok and one.aggregates[0]["fraction_equal"] == 1.0
     _report(6, "stability frequency", ok,

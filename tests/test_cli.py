@@ -169,3 +169,30 @@ def test_seed_changes_gnp_host(capsys):
                         "--pattern", "complete:3", "--seed", s, "--json")
         outs.append(json.loads(out)["copies"])
     assert outs[0] != outs[1]
+
+
+VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
+          "--seed", "{dir}/seed.el", "--trace", "{dir}/trace.json"]
+
+
+@pytest.mark.parametrize("argv,trace", [
+    (["solve", "--host", "complete:x", "--pattern", "complete:3"], ""),
+    (["count", "--host", "gnp:5,x", "--pattern", "complete:3"], ""),
+    (["solve", "--host", "complete:4", "--pattern", "complete:3",
+      "--budget-nodes", "0"], ""),
+    (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
+      "--pgrid", "0.3,x"], ""),
+    (VERIFY, "not json"),
+    (VERIFY, '[{"edg": [0, 1]}]'),
+    (VERIFY, '{"edge": 1}'),
+    (VERIFY, '[{"edge": [0, 1], "witness": ["a", "b", "c"]}]'),
+    (VERIFY, '[{"edge": [0, 2.5], "witness": [0, 1, 2]}]'),
+    (VERIFY, '[{"edge": [true, 2], "witness": [0, 1, 2]}]'),
+], ids=["bad-int", "bad-float", "zero-budget", "bad-pgrid", "trace-not-json",
+        "trace-missing-edge", "trace-not-list", "trace-str-witness",
+        "trace-float-edge", "trace-bool-edge"])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, trace):
+    (tmp_path / "seed.el").write_text("4 3\n0 1\n0 2\n0 3\n")
+    (tmp_path / "trace.json").write_text(trace)
+    code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and err.startswith("error:")

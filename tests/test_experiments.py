@@ -13,7 +13,6 @@ from wsat import (
     expected_copies,
     neighborhood_property_check,
     run_experiment,
-    stability_experiment,
 )
 
 
@@ -54,7 +53,7 @@ def test_expected_copies_monte_carlo(k3):
 
 def test_stability_p_one_always_equal(k3):
     cfg = ExperimentConfig(k3, 6, [1.0], trials=5, master_seed=11)
-    rep = stability_experiment(cfg)
+    rep = run_experiment(cfg)
     assert rep.annotations["wsat_complete"] == 5
     assert rep.aggregates[0]["fraction_equal"] == 1.0
     assert all(r.status == "ok" for r in rep.records)
@@ -64,7 +63,7 @@ def test_stability_sparse_hosts_forced_full(k3):
     # at p = 0.01 and n = 6 the sampled hosts are triangle-free,
     # so wsat(G,F) = |E(G)| and X_F = 0
     cfg = ExperimentConfig(k3, 6, [0.01], trials=10, master_seed=13)
-    rep = stability_experiment(cfg)
+    rep = run_experiment(cfg)
     for r in rep.records:
         assert r.x_f == 0
         assert r.wsat_exact == r.edges
@@ -72,7 +71,7 @@ def test_stability_sparse_hosts_forced_full(k3):
 
 def test_record_count_and_grid(k3):
     cfg = ExperimentConfig(k3, 6, [0.3, 0.6, 0.9], trials=4, master_seed=7)
-    rep = stability_experiment(cfg)
+    rep = run_experiment(cfg)
     assert len(rep.records) == 12
     assert sorted({r.p for r in rep.records}) == [0.3, 0.6, 0.9]
     assert [a["p"] for a in rep.aggregates] == [0.3, 0.6, 0.9]
@@ -100,26 +99,26 @@ def test_scan_extremes_and_trend(k3):
 
 def test_report_bit_identical_and_recomputable(k3):
     cfg = ExperimentConfig(k3, 6, [0.4, 0.8], trials=6, master_seed=21)
-    a = stability_experiment(cfg).to_json()
-    b = stability_experiment(cfg).to_json()
+    a = run_experiment(cfg).to_json()
+    b = run_experiment(cfg).to_json()
     assert a == b
     doc = json.loads(a)
-    rep = stability_experiment(cfg)
+    rep = run_experiment(cfg)
     assert rep.recompute_aggregates() == doc["aggregates"]
     assert all("elapsed" not in r for r in doc["records"])
 
 
 def test_csv_schema(k3):
     cfg = ExperimentConfig(k3, 6, [0.5], trials=3, master_seed=2)
-    text = stability_experiment(cfg).to_csv()
+    text = run_experiment(cfg).to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(ExperimentReport.CSV_FIELDS)
     assert len(lines) == 4
 
 
 def test_extending_p_grid_preserves_existing_trials(k3):
-    short = stability_experiment(ExperimentConfig(k3, 6, [0.5], 4, 9))
-    long = stability_experiment(ExperimentConfig(k3, 6, [0.5, 0.8], 4, 9))
+    short = run_experiment(ExperimentConfig(k3, 6, [0.5], 4, 9))
+    long = run_experiment(ExperimentConfig(k3, 6, [0.5, 0.8], 4, 9))
     assert [r.seed for r in short.records] == [r.seed for r in long.records[:4]]
 
 

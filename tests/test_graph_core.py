@@ -1,8 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsat import (
@@ -25,6 +28,7 @@ from wsat import (
     sample_gnp,
     star,
 )
+from wsat.graph import cliques
 from conftest import random_host
 
 
@@ -188,3 +192,39 @@ def test_density_floors():
 def test_codec_roundtrip_property(n, seed):
     g = sample_gnp(n, 0.4, Seed(seed))
     assert decode_edge_list(encode_edge_list(g)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 2**32),
+       st.lists(st.integers(0, 8), unique=True), st.integers(0, 11))
+@example(n=6, p=0.9, seed=1, pool=[5, 0, 3], size=0)
+@example(n=6, p=0.9, seed=1, pool=[5, 0, 3], size=4)
+def test_cliques_match_brute_force(n, p, seed, pool, size):
+    g = sample_gnp(n, p, Seed(seed))
+    pool = [v for v in pool if v < n]
+    want = [c for c in combinations(sorted(pool), size)
+            if all(g.has_edge(u, v) for u, v in combinations(c, 2))]
+    assert list(cliques(g, pool, size)) == want
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # under -O a bare assert is stripped; the checks must still raise
+    script = """
+import dataclasses
+from wsat import Graph, complete, count_copies, normalize_pattern
+assert False, "stripped under -O"
+g = Graph(3, [(0, 1)])
+g.adj = (frozenset({1}), frozenset(), frozenset())
+bad_aut = dataclasses.replace(normalize_pattern(complete(3)), aut=4)
+for check in (g.validate, lambda: count_copies(complete(3), bad_aut)):
+    try:
+        check()
+    except AssertionError as exc:
+        print("raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(sys.modules["wsat"].__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count("raised:") == 2, out.stdout

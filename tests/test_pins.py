@@ -1,0 +1,85 @@
+"""Byte pins for outputs that must not change when their code is refactored.
+
+Each digest was recorded from the implementation these tests were written
+against.  A mismatch means an experiment report or a construction changed
+its bytes; a deliberate change re-baselines the pin and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from wsat import (
+    ExperimentConfig,
+    Seed,
+    WsatError,
+    complete,
+    construct_clique_partition_saturator,
+    construct_random_host_saturator,
+    cycle,
+    encode_edge_list,
+    normalize_pattern,
+    run_experiment,
+    sample_gnp,
+)
+
+K3 = normalize_pattern(complete(3))
+C4 = normalize_pattern(cycle(4))
+
+EXPERIMENT_PINS = {
+    ("sandwich", "K3"): (
+        "e05fb8c2039f83e39d31e3b9e5da75a5a5f2c7799b282104fdfc3e9c4ed1d0cb",
+        "7a8fe2afe4b1ce826ba283061e263c4355b165a3b665046615f43b6130d38da4",
+    ),
+    ("sandwich", "C4"): (
+        "a6cfa59daefc4f6e6e9deff8d5b7a7791ca94c457943ffac262f61ff533f6cd1",
+        "8a35854660b01099e21ef018dd52b82ef1bc8a5424428d7a5df6f17282007cb7",
+    ),
+    ("scan", "K3"): (
+        "38e3d329f9faa98f7bfe541cdb7b7cd64a6deb2eca52e1251d7ba9c8f558a631",
+        "391d10d25fb30b7603dd2559252b54e86eb65d209e7812beb1a38f676e756c01",
+    ),
+    ("scan", "C4"): (
+        "08125503ef067348458068f42f063a589f812c2d4393c827da99ae5bd77ff938",
+        "391d10d25fb30b7603dd2559252b54e86eb65d209e7812beb1a38f676e756c01",
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode,name", sorted(EXPERIMENT_PINS))
+def test_experiment_report_bytes_pinned(mode, name):
+    f = {"K3": K3, "C4": C4}[name]
+    rep = run_experiment(
+        ExperimentConfig(f, 6, [0.3, 0.6, 0.9], trials=4, master_seed=7, mode=mode))
+    assert (_sha(rep.to_json()), _sha(rep.to_csv())) == EXPERIMENT_PINS[mode, name]
+
+
+def _outcome(build) -> str:
+    """The construction's edge list, or the error it raised (both are pinned)."""
+    try:
+        return encode_edge_list(build())
+    except WsatError as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+
+
+# (n, p, sampling seed) of each G(n,p) host; sparse ones make the
+# constructions fail, and the failure message is part of the pin
+HOSTS = [(8, 0.5, 1), (9, 0.7, 2), (10, 0.8, 3), (12, 0.6, 4), (12, 0.9, 5)]
+
+
+def test_random_host_constructions_pinned():
+    out = []
+    for n, p, s in HOSTS:
+        g = sample_gnp(n, p, Seed(s))
+        for f in (K3, C4):
+            for m in (2, 3):
+                out.append(_outcome(
+                    lambda: construct_random_host_saturator(g, f, m, Seed(s))))
+            out.append(_outcome(
+                lambda: construct_clique_partition_saturator(g, f, Seed(s))))
+    assert _sha("".join(out)) == (
+        "c7d555ffca316096b4ba0be5348f787f9ef00b114fa0688d743a5b7987436abb")
