@@ -95,30 +95,12 @@ def _try_edge(work: _Work, f: Pattern, e: Edge) -> CopyWitness | None:
     return w
 
 
-def _near(work: _Work, e: Edge, radius: int) -> set[int]:
-    """Vertices within BFS distance ``radius`` of either endpoint of e."""
-    seen = {e[0], e[1]}
-    frontier = [e[0], e[1]]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for u in work.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
-
-
 def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     """Compute the F-closure of ``seed`` inside ``host`` with a full trace.
 
-    When the pattern is connected, a newly added edge can only unlock stalled
-    candidates with an endpoint within distance s-1 of its endpoints (any copy
-    containing both edges lives on at most s vertices), so only those are
-    re-enqueued.  Disconnected patterns fall back to re-enqueueing everything.
+    Candidates that find no copy are set aside; every successful addition
+    re-enqueues all of them, since the new edge may complete a copy through
+    any of them.
     """
     if not seed.is_spanning_subgraph_of(host):
         raise PreconditionError("seed must be a spanning subgraph of the host")
@@ -126,8 +108,6 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     queue = deque(sorted(host.edge_set - seed.edge_set))
     stalled: set[Edge] = set()
     steps: list[tuple[Edge, CopyWitness]] = []
-    local = f.is_connected()
-    radius = f.s - 1
     while queue:
         e = queue.popleft()
         w = _try_edge(work, f, e)
@@ -135,14 +115,8 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
             stalled.add(e)
             continue
         steps.append((e, w))
-        if stalled:
-            if local:
-                reach = _near(work, e, radius)
-                wake = {c for c in stalled if c[0] in reach or c[1] in reach}
-            else:
-                wake = set(stalled)
-            stalled -= wake
-            queue.extend(sorted(wake))
+        queue.extend(sorted(stalled))
+        stalled.clear()
     closed = Graph(host.n, work.edges())
     return ClosureResult(
         closure=closed,

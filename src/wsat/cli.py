@@ -19,15 +19,7 @@ import sys
 
 from . import __version__
 from .bootstrap import ActivationTrace, closure, verify_trace_detailed
-from .errors import (
-    ConstructionError,
-    GraphParseError,
-    ParameterError,
-    PreconditionError,
-    RangeError,
-    StructureAbsentError,
-    UndefinedDensityError,
-)
+from .errors import GraphParseError, ParameterError, WsatError
 from .experiments import (
     ExperimentConfig,
     neighborhood_property_check,
@@ -54,13 +46,6 @@ from .patterns import Pattern, count_copies, normalize_pattern
 from .solver import SearchBudget, greedy_upper_bound, wsat_exact
 
 USAGE_ERRORS = (ParameterError, GraphParseError)
-DOMAIN_ERRORS = (
-    RangeError,
-    StructureAbsentError,
-    ConstructionError,
-    PreconditionError,
-    UndefinedDensityError,
-)
 
 
 def parse_graph_arg(spec: str, seed: int = 0) -> Graph:
@@ -362,7 +347,7 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DOMAIN_ERRORS as exc:
+    except WsatError as exc:
         msg = f"error: {exc}"
         diag = getattr(exc, "diagnostic", None)
         if diag is not None:

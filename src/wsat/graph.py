@@ -78,9 +78,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((len(s) for s in self.adj), default=0)
 
-    def max_degree(self) -> int:
-        return max((len(s) for s in self.adj), default=0)
-
     def with_edges(self, extra: Iterable[Edge]) -> "Graph":
         return Graph(self.n, set(self.edge_set) | {_norm_edge(u, v) for u, v in extra})
 
@@ -151,6 +148,9 @@ def derive_seed(master: int, *indices: int) -> int:
 def cliques(g: Graph, pool: Iterable[int], size: int) -> Iterator[tuple[int, ...]]:
     """Every ``size``-clique of G within ``pool``, as an ascending tuple, in
     lexicographic order (backtracking over ascending candidates)."""
+    if size < 0:
+        raise ParameterError(f"clique size must be >= 0, got {size}")
+
     def extend(chosen: list[int], cands: list[int]) -> Iterator[tuple[int, ...]]:
         if len(chosen) == size:
             yield tuple(chosen)

@@ -3,8 +3,8 @@ automorphism counting, and copy counting.
 
 A "copy" of a pattern F in G is a subgraph of G isomorphic to F -- not
 necessarily induced.  All searches are deterministic: candidate host vertices
-are tried in ascending (degree, index) order, so the first witness found for
-a given input is always the same.
+are tried in ascending index order, so the first witness found for a given
+input is always the same.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class Pattern:
     s: int
     t: int
     delta: int
-    max_deg: int
     m_F: Fraction
     mu_F: Fraction
     aut: int
@@ -37,20 +36,6 @@ class Pattern:
     # matching order: pattern vertices arranged so each one is adjacent to an
     # earlier one whenever its component allows; precomputed once.
     order: tuple[int, ...]
-
-    def is_connected(self) -> bool:
-        g = self.graph
-        if g.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == g.n
 
 
 def _matching_order(g: Graph) -> tuple[int, ...]:
@@ -86,7 +71,6 @@ def normalize_pattern(f: Graph) -> Pattern:
         s=f.n,
         t=f.m_edges,
         delta=f.min_degree(),
-        max_deg=f.max_degree(),
         m_F=density_m(f),
         mu_F=density_mu(f),
         aut=automorphism_count(f),
@@ -106,27 +90,16 @@ def _iter_maps(
     """Yield injective edge-preserving maps V(pat) -> V(host).
 
     ``host`` needs only ``.n`` and ``.adj`` (a sequence of sets), so closure
-    engines can pass mutable working graphs.  ``fixed`` pins pattern vertices
-    to host vertices (used to anchor a witness at an edge).
+    engines can pass mutable working graphs.  ``fixed`` pins the two ends of
+    one pattern edge onto the two ends of a host edge (used to anchor a
+    witness at an edge); the caller guarantees that host edge is present, so
+    the pinned pair is not rechecked here.
     """
-    n = host.n
-    mapping: dict[int, int] = {}
-    used = [False] * n
-    if fixed:
-        for pv, hv in fixed.items():
-            if used[hv]:
-                return
-            mapping[pv] = hv
-            used[hv] = True
-        # fixed assignments must already respect pattern edges between them
-        for pv, hv in fixed.items():
-            for pu in pat.adj[pv]:
-                if pu in mapping and mapping[pu] not in host.adj[hv]:
-                    return
+    mapping: dict[int, int] = dict(fixed or {})
+    used = [False] * host.n
+    for hv in mapping.values():
+        used[hv] = True
     todo = [v for v in order if v not in mapping]
-
-    # degree-then-index candidate order, computed once per call
-    by_rank = sorted(range(n), key=lambda v: (len(host.adj[v]), v))
 
     def extend(i: int) -> Iterator[dict[int, int]]:
         if i == len(todo):
@@ -138,9 +111,9 @@ def _iter_maps(
             cands = set(host.adj[mapped_nbrs[0]])
             for hv in mapped_nbrs[1:]:
                 cands &= host.adj[hv]
-            pool = sorted(cands, key=lambda v: (len(host.adj[v]), v))
+            pool = sorted(cands)
         else:
-            pool = by_rank
+            pool = range(host.n)
         deg_needed = len(pat.adj[pv])
         for hv in pool:
             if used[hv] or len(host.adj[hv]) < deg_needed:
@@ -205,7 +178,8 @@ class CopyWitness:
 
 
 def _maps_through_edge(g, f: Pattern, e: Edge) -> Iterator[dict[int, int]]:
-    """Injective edge-preserving maps F -> G whose image contains e.
+    """Injective edge-preserving maps F -> G whose image contains e, which
+    must be an edge of G.
 
     Anchors each pattern edge onto e in both orientations and extends by
     backtracking.  Each map realizes e through exactly one (pattern edge,

@@ -142,8 +142,20 @@ def test_closure_monotone_in_seed(k3, p3, k13, k4):
         assert c1.edge_set <= c2.edge_set
 
 
+def _reverse_chain(n: int) -> tuple[Graph, Graph]:
+    """Square of a path, seeded with its (i, i+2) edges and the last path
+    edge.  Under K3 the path edges activate one at a time from the top down,
+    each one unlocking only the next lower one, against the ascending queue."""
+    skips = [(i, i + 2) for i in range(n - 2)]
+    host = Graph(n, skips + [(i, i + 1) for i in range(n - 1)])
+    return host, Graph(n, skips + [(n - 2, n - 1)])
+
+
 def test_closure_order_independent_vs_naive(k3, p3, k13):
-    for idx, (host, seed, _, f) in enumerate(_instances(100, [k3, p3, k13])):
+    host, seed = _reverse_chain(30)
+    assert closure(host, k3, seed).percolates
+    chain = [(host, seed, None, k3)]
+    for idx, (host, seed, _, f) in enumerate(_instances(100, [k3, p3, k13]) + chain):
         fast = closure(host, f, seed)
         assert verify_trace(host, f, seed, fast.trace)
         results = {fast.closure.edge_set}
@@ -168,7 +180,8 @@ def test_every_emitted_trace_verifies(k3, p3):
 
 
 def test_disconnected_pattern_closure(k3):
-    # matching pattern exercises the full-rescan fallback
+    # a disconnected pattern: a copy through an edge may place its other
+    # component anywhere in the host
     m2 = normalize_pattern(matching(2))
     host = complete(5)
     seed = Graph(5, [(0, 1)])

@@ -182,15 +182,17 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
       "--budget-nodes", "0"], ""),
     (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
       "--pgrid", "0.3,x"], ""),
+    (["construct", "--method", "random", "--pattern", "complete:3",
+      "--host", "complete:17", "--m", "-1"], ""),
     (VERIFY, "not json"),
     (VERIFY, '[{"edg": [0, 1]}]'),
     (VERIFY, '{"edge": 1}'),
     (VERIFY, '[{"edge": [0, 1], "witness": ["a", "b", "c"]}]'),
     (VERIFY, '[{"edge": [0, 2.5], "witness": [0, 1, 2]}]'),
     (VERIFY, '[{"edge": [true, 2], "witness": [0, 1, 2]}]'),
-], ids=["bad-int", "bad-float", "zero-budget", "bad-pgrid", "trace-not-json",
-        "trace-missing-edge", "trace-not-list", "trace-str-witness",
-        "trace-float-edge", "trace-bool-edge"])
+], ids=["bad-int", "bad-float", "zero-budget", "bad-pgrid", "negative-clique",
+        "trace-not-json", "trace-missing-edge", "trace-not-list",
+        "trace-str-witness", "trace-float-edge", "trace-bool-edge"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, trace):
     (tmp_path / "seed.el").write_text("4 3\n0 1\n0 2\n0 3\n")
     (tmp_path / "trace.json").write_text(trace)

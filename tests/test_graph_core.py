@@ -205,6 +205,8 @@ def test_cliques_match_brute_force(n, p, seed, pool, size):
     want = [c for c in combinations(sorted(pool), size)
             if all(g.has_edge(u, v) for u, v in combinations(c, 2))]
     assert list(cliques(g, pool, size)) == want
+    with pytest.raises(ParameterError):
+        cliques(g, pool, -1 - size)
 
 
 def test_invariant_checks_survive_optimize_flag():

@@ -16,6 +16,7 @@ from wsat import (
     count_copies,
     count_injective_maps,
     cycle,
+    matching,
     normalize_pattern,
     path,
     sample_gnp,
@@ -109,10 +110,15 @@ def _count_copies_oracle(g: Graph, f) -> int:
     return len(found)
 
 
+# disconnected patterns: the second component is placed from the whole host
+M2 = normalize_pattern(matching(2))
+K3_K2 = normalize_pattern(Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]))
+
+
 def test_count_copies_against_permutation_oracle(k3, p3, k13):
     for i in range(15):
         g = random_host(6, 0.5, 400 + i)
-        for f in (k3, p3, k13):
+        for f in (k3, p3, k13, M2, K3_K2):
             assert count_copies(g, f) == _count_copies_oracle(g, f)
 
 
@@ -137,7 +143,7 @@ def test_witness_absent_means_no_copy_uses_edge(k3, p3):
 
     for i in range(10):
         g = random_host(7, 0.35, 700 + i)
-        for f in (k3, p3):
+        for f in (k3, p3, M2, K3_K2):
             for e in g.edges():
                 w = copy_through_edge(g, f, e)
                 uses = any(

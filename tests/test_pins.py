@@ -1,8 +1,9 @@
 """Byte pins for outputs that must not change when their code is refactored.
 
 Each digest was recorded from the implementation these tests were written
-against.  A mismatch means an experiment report or a construction changed
-its bytes; a deliberate change re-baselines the pin and says why.
+against.  A mismatch means an experiment report, a construction or a CLI
+payload changed its bytes; a deliberate change re-baselines the pin and says
+why.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from wsat import (
     run_experiment,
     sample_gnp,
 )
+from wsat.cli import main
 
 K3 = normalize_pattern(complete(3))
 C4 = normalize_pattern(cycle(4))
@@ -83,3 +85,34 @@ def test_random_host_constructions_pinned():
                 lambda: construct_clique_partition_saturator(g, f, Seed(s))))
     assert _sha("".join(out)) == (
         "c7d555ffca316096b4ba0be5348f787f9ef00b114fa0688d743a5b7987436abb")
+
+
+# CLI runs that finish far inside their budgets, so their bytes do not depend
+# on host speed.  ``closure`` and ``verify`` print activation-trace witnesses,
+# which are a first-found choice and deliberately left unpinned.
+CLI_PINS = {
+    "solve-K6-K3": (
+        ["solve", "--host", "complete:6", "--pattern", "complete:3"],
+        "bcbd0ef975b7ab7398acc37d7e4ecf7e70dd10ce5a072af3386fc019b5cad35b"),
+    "solve-K6-C4": (
+        ["solve", "--host", "complete:6", "--pattern", "cycle:4"],
+        "b0df892f8687a280c1aaf6ba121d383e748b08fd6cbfb201d7fdc174b779bfca"),
+    "solve-gnp-greedy": (
+        ["solve", "--host", "gnp:7,0.6", "--pattern", "complete:3", "--seed", "3",
+         "--greedy-repeats", "3"],
+        "fca2b8b285020f8c1eccaccd0aafa8fa5f34d8523b46dea78e5b581df4d3842c"),
+    "profile-K3": (
+        ["profile", "--pattern", "complete:3", "--nmax", "6"],
+        "f4d53440d8e51d2197305b875545ba73280daf1cadddf52e3fe5b2ca5d927aec"),
+    "count-gnp-K4": (
+        ["count", "--host", "gnp:25,0.5", "--pattern", "complete:4", "--seed", "7"],
+        "93ab97ffb95229af8bb8c6f0985ab74416b52a4fa80b5850fda3febc16dfd810"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PINS))
+def test_cli_json_pinned(capsys, name):
+    argv, digest = CLI_PINS[name]
+    assert main(argv + ["--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and _sha(out) == digest
