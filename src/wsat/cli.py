@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--greedy-repeats", type=int, default=0)
     c.set_defaults(func=cmd_solve)
 
-    c = sub.add_parser("formula", parents=[common], help="closed-form wsat values")
+    c = sub.add_parser("formula", parents=[graphless], help="closed-form wsat values")
     c.add_argument("--family", required=True, choices=["ks", "ktt", "kst", "k2t", "k1t"])
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--s", type=int)
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--core", help="core graph (complete method; default greedy)")
     c.set_defaults(func=cmd_construct)
 
-    c = sub.add_parser("profile", parents=[common],
+    c = sub.add_parser("profile", parents=[graphless],
                        help="stability profile phi(n) up to --nmax")
     c.add_argument("--pattern", required=True)
     c.add_argument("--nmax", type=int, required=True)

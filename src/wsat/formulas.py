@@ -138,22 +138,20 @@ def construct_complete_host_saturator(
     for v in range(m, n):
         for u in range(d - 1):
             edges.add((u, v))
-    h = Graph(n, edges)
-    host = complete(n)
-    if not is_weakly_saturated(host, f, h):
-        raise ConstructionError(
-            "constructed graph failed verification",
-            diagnostic=_first_unreached(host, f, h),
-        )
-    return h
+    return _verified(complete(n), f, Graph(n, edges), "constructed graph")
 
 
-def _first_unreached(host: Graph, f: Pattern, h: Graph):
+def _verified(host: Graph, f: Pattern, h: Graph, what: str) -> Graph:
+    """h itself when it is weakly (host, F)-saturated; otherwise raise
+    naming the copy of F in h or the first host edge its closure misses."""
     if contains_copy(h, f):
-        return {"reason": "candidate contains a copy of the pattern"}
-    res = closure(host, f, h)
-    missing = sorted(host.edge_set - res.closure.edge_set)
-    return {"reason": "closure stalled", "first_unreachable_edge": missing[0] if missing else None}
+        diagnostic = {"reason": "candidate contains a copy of the pattern"}
+    else:
+        missing = sorted(host.edge_set - closure(host, f, h).closure.edge_set)
+        if not missing:
+            return h
+        diagnostic = {"reason": "closure stalled", "first_unreachable_edge": missing[0]}
+    raise ConstructionError(f"{what} failed verification", diagnostic=diagnostic)
 
 
 def _max_clique(g: Graph, vertices: list[int]) -> tuple[int, ...]:
@@ -213,13 +211,7 @@ def construct_random_host_saturator(
             )
         for u in targets[: d - 1]:
             edges.add((min(u, v), max(u, v)))
-    h = Graph(g.n, edges)
-    if not is_weakly_saturated(g, f, h):
-        raise ConstructionError(
-            "clique-anchored construction failed verification",
-            diagnostic=_first_unreached(g, f, h),
-        )
-    return h
+    return _verified(g, f, Graph(g.n, edges), "clique-anchored construction")
 
 
 def construct_clique_partition_saturator(
@@ -274,13 +266,7 @@ def construct_clique_partition_saturator(
             for v in S + r_i:
                 if v in g.adj[u]:
                     edges.add((min(u, v), max(u, v)))
-    h = Graph(g.n, edges)
-    if not is_weakly_saturated(g, f, h):
-        raise ConstructionError(
-            "clique-partition construction failed verification",
-            diagnostic=_first_unreached(g, f, h),
-        )
-    return h
+    return _verified(g, f, Graph(g.n, edges), "clique-partition construction")
 
 
 # -- stability profile -------------------------------------------------------

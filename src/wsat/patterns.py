@@ -91,9 +91,9 @@ def _iter_maps(
 
     ``host`` needs only ``.n`` and ``.adj`` (a sequence of sets), so closure
     engines can pass mutable working graphs.  ``fixed`` pins the two ends of
-    one pattern edge onto the two ends of a host edge (used to anchor a
-    witness at an edge); the caller guarantees that host edge is present, so
-    the pinned pair is not rechecked here.
+    one pattern edge onto the two ends of a host edge; only
+    :func:`copy_through_edge` uses it, and it checks that the host edge is
+    present, so the pinned pair is not rechecked here.
     """
     mapping: dict[int, int] = dict(fixed or {})
     used = [False] * host.n
@@ -155,9 +155,6 @@ class CopyWitness:
 
     mapping: tuple[int, ...]
 
-    def image(self) -> frozenset[int]:
-        return frozenset(self.mapping)
-
     def validates(self, g, f: Pattern, through: Edge | None = None) -> bool:
         m = self.mapping
         if len(m) != f.s or len(set(m)) != f.s:
@@ -177,30 +174,22 @@ class CopyWitness:
         return True
 
 
-def _maps_through_edge(g, f: Pattern, e: Edge) -> Iterator[dict[int, int]]:
-    """Injective edge-preserving maps F -> G whose image contains e, which
-    must be an edge of G.
-
-    Anchors each pattern edge onto e in both orientations and extends by
-    backtracking.  Each map realizes e through exactly one (pattern edge,
-    orientation), so there are |copies through e| * |Aut(F)| of them.
-    """
-    u, v = e
-    for a, b in sorted(f.graph.edge_set):
-        for hu, hv in ((u, v), (v, u)):
-            yield from _iter_maps(f.graph, f.order, g, fixed={a: hu, b: hv})
-
-
 def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
     """First (deterministic) copy of F in G whose image contains the edge e,
-    or None when no copy through e exists."""
+    or None when no copy through e exists.
+
+    Anchors each pattern edge onto e in both orientations and extends by
+    backtracking.
+    """
     u, v = e
     if u > v:
         u, v = v, u
     if v not in g.adj[u]:
         raise ParameterError(f"edge ({u},{v}) not present in host")
-    for mapping in _maps_through_edge(g, f, (u, v)):
-        return CopyWitness(tuple(mapping[i] for i in range(f.s)))
+    for a, b in sorted(f.graph.edge_set):
+        for hu, hv in ((u, v), (v, u)):
+            for mapping in _iter_maps(f.graph, f.order, g, fixed={a: hu, b: hv}):
+                return CopyWitness(tuple(mapping[i] for i in range(f.s)))
     return None
 
 

@@ -10,13 +10,14 @@ always leaves a weakly saturated graph.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .bootstrap import ActivationTrace, closure, is_weakly_saturated
 from .errors import ParameterError, PreconditionError
 from .graph import Graph, Seed
-from .patterns import Pattern, _maps_through_edge, contains_copy, copy_through_edge
+from .patterns import Pattern, _iter_maps, contains_copy, copy_through_edge
 
 
 @dataclass
@@ -25,7 +26,7 @@ class SearchBudget:
     max_seconds: float = 60.0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
+        if not (self.max_nodes > 0 and self.max_seconds > 0):  # also rejects NaN
             raise ParameterError("budget must be positive")
 
 
@@ -176,15 +177,18 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
     deletions: list = []
     current = g
     while True:
-        scored: list[tuple[int, tuple[int, int]]] = []
-        for e in sorted(work_edges):
-            c = sum(1 for _ in _maps_through_edge(current, f, e))
-            if c:
-                scored.append((c, e))
-        if not scored:
+        # one pass over the maps F -> current; an injective map sends F's t
+        # edges to t distinct host edges, so each edge is counted
+        # |copies through it| * |Aut(F)| times
+        through: Counter = Counter()
+        for mapping in _iter_maps(f.graph, f.order, current):
+            for x, y in f.graph.edge_set:
+                a, b = mapping[x], mapping[y]
+                through[(a, b) if a < b else (b, a)] += 1
+        if not through:
             break
-        best = min(c for c, _ in scored)
-        e = rng.choice([e for c, e in scored if c == best])
+        best = min(through.values())
+        e = rng.choice(sorted(e for e, c in through.items() if c == best))
         w = copy_through_edge(current, f, e)
         deletions.append((e, w))
         work_edges.remove(e)

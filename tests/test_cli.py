@@ -184,6 +184,10 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
       "--pgrid", "0.3,x"], ""),
     (["construct", "--method", "random", "--pattern", "complete:3",
       "--host", "complete:17", "--m", "-1"], ""),
+    (["experiment", "--mode", "neighborhood", "--pattern", "complete:3",
+      "--host", "complete:8", "--k", "2", "--p", "0.5", "--cap", "0"], ""),
+    (["solve", "--host", "complete:4", "--pattern", "complete:3",
+      "--budget-seconds", "nan"], ""),
     (VERIFY, "not json"),
     (VERIFY, '[{"edg": [0, 1]}]'),
     (VERIFY, '{"edge": 1}'),
@@ -191,6 +195,7 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
     (VERIFY, '[{"edge": [0, 2.5], "witness": [0, 1, 2]}]'),
     (VERIFY, '[{"edge": [true, 2], "witness": [0, 1, 2]}]'),
 ], ids=["bad-int", "bad-float", "zero-budget", "bad-pgrid", "negative-clique",
+        "cap-zero", "nan-budget",
         "trace-not-json", "trace-missing-edge", "trace-not-list",
         "trace-str-witness", "trace-float-edge", "trace-bool-edge"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, trace):

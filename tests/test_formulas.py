@@ -120,6 +120,12 @@ def test_construct_random_host_on_gnp(k3):
     # (delta-1)(n-m) + |core| with delta=2, core = wsat of a triangle = 2
     assert h.m_edges == 17 + 2
     assert is_weakly_saturated(g, k3, h)
+    # a sparser host where the candidate is F-free but its closure stalls
+    with pytest.raises(ConstructionError) as info:
+        construct_random_host_saturator(sample_gnp(10, 0.7, 0), k3, 2, 0)
+    assert str(info.value) == "clique-anchored construction failed verification"
+    assert info.value.diagnostic == {"reason": "closure stalled",
+                                     "first_unreachable_edge": (2, 5)}
 
 
 def test_construct_random_host_no_clique(k3):
@@ -138,13 +144,18 @@ def test_construct_partition_k9(k3):
 
 def test_construct_partition_failure_is_explicit(k3):
     # other seeds may wire a triangle into the candidate; that must surface
-    # as an explicit error, never as an unverified graph
-    for seed in range(4):
+    # as an explicit error, never as an unverified graph (recorded outcomes:
+    # None means the construction succeeds)
+    triangle = {"reason": "candidate contains a copy of the pattern"}
+    expected = {0: triangle, 1: triangle, 2: None, 3: triangle}
+    for seed, diagnostic in expected.items():
         try:
             h = construct_clique_partition_saturator(complete(9), k3, seed)
         except ConstructionError as exc:
-            assert exc.diagnostic is not None
+            assert str(exc) == "clique-partition construction failed verification"
+            assert exc.diagnostic == diagnostic
         else:
+            assert diagnostic is None
             assert is_weakly_saturated(complete(9), k3, h)
 
 

@@ -7,6 +7,7 @@ why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -15,10 +16,13 @@ from wsat import (
     Seed,
     WsatError,
     complete,
+    complete_bipartite,
     construct_clique_partition_saturator,
     construct_random_host_saturator,
     cycle,
     encode_edge_list,
+    greedy_upper_bound,
+    matching,
     normalize_pattern,
     run_experiment,
     sample_gnp,
@@ -85,6 +89,36 @@ def test_random_host_constructions_pinned():
                 lambda: construct_clique_partition_saturator(g, f, Seed(s))))
     assert _sha("".join(out)) == (
         "c7d555ffca316096b4ba0be5348f787f9ef00b114fa0688d743a5b7987436abb")
+
+
+# (n, p, sampling seed) of each G(n,p) host handed to greedy, which is run
+# with two seeds per host; the pin covers the result, its certificate edges
+# and every (edge, witness) step of its trace
+GREEDY_HOSTS = [(10, 0.6, 1), (12, 0.5, 2), (14, 0.5, 3), (16, 0.4, 4)]
+GREEDY_PINS = {
+    "K3": (complete(3),
+           "8eb66cb5e34b9beca66ecb93ee9b34aec34170d36f04e74caae834373820b3af"),
+    "C4": (cycle(4),
+           "26f4e06f9b0b5eab6a72b4275c9ea6bf7729d3048a1663cd5beb16de4bf6a337"),
+    "K23": (complete_bipartite(2, 3),
+            "5af8ce3244343d9d9f56acb50689437079e3ceceaabe44258d95e915050f8b11"),
+    "2K2": (matching(2),
+            "6e280670a8a64c889e6dadc83cf3ceb3f09ec1ce42045337f0e092fc8f109034"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_PINS))
+def test_greedy_certificates_pinned(name):
+    pattern, digest = GREEDY_PINS[name]
+    f = normalize_pattern(pattern)
+    out = []
+    for n, p, s in GREEDY_HOSTS:
+        g = sample_gnp(n, p, Seed(s))
+        for r in (0, 1):
+            res = greedy_upper_bound(g, f, Seed(s, r))
+            out.append(json.dumps(res.as_dict(), sort_keys=True)
+                       + res.certificate[1].to_json())
+    assert _sha("\n".join(out)) == digest
 
 
 # CLI runs that finish far inside their budgets, so their bytes do not depend
