@@ -91,9 +91,9 @@ def _emit(payload: dict, summary: str, args) -> None:
 
 
 def cmd_closure(args) -> int:
-    host = parse_graph_arg(args.host)
+    host = parse_graph_arg(args.host, args.rng_seed)
     f = parse_pattern_arg(args.pattern)
-    seed_graph = parse_graph_arg(args.seed)
+    seed_graph = parse_graph_arg(args.seed, args.rng_seed)
     res = closure(host, f, seed_graph)
     payload = {
         "percolates": res.percolates,
@@ -107,9 +107,9 @@ def cmd_closure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    host = parse_graph_arg(args.host)
+    host = parse_graph_arg(args.host, args.rng_seed)
     f = parse_pattern_arg(args.pattern)
-    seed_graph = parse_graph_arg(args.seed)
+    seed_graph = parse_graph_arg(args.seed, args.rng_seed)
     try:
         with open(args.trace, "r", encoding="utf-8") as fh:
             trace = ActivationTrace.from_json(fh.read())
@@ -272,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--host", required=True)
     c.add_argument("--pattern", required=True)
     c.add_argument("--seed", required=True, help="initial spanning subgraph")
+    c.add_argument("--rng-seed", type=int, default=0, help="RNG seed for gnp: graphs")
     c.set_defaults(func=cmd_closure)
 
     c = sub.add_parser("verify", parents=[graphless],
@@ -279,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--host", required=True)
     c.add_argument("--pattern", required=True)
     c.add_argument("--seed", required=True, help="initial spanning subgraph")
+    c.add_argument("--rng-seed", type=int, default=0, help="RNG seed for gnp: graphs")
     c.add_argument("--trace", required=True, help="trace JSON file")
     c.set_defaults(func=cmd_verify)
 

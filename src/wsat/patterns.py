@@ -37,6 +37,12 @@ class Pattern:
     # earlier one whenever its component allows; precomputed once.
     order: tuple[int, ...]
 
+    # oriented edge anchors (a, b, orbit) in the order copy_through_edge tries
+    # them: (a, b) then (b, a) for each sorted edge.  Anchors with the same
+    # orbit are carried onto each other by an automorphism of F, so an
+    # anchored search succeeds for all of them or for none.
+    anchors: tuple[tuple[int, int, int], ...]
+
 
 def _matching_order(g: Graph) -> tuple[int, ...]:
     """Connectivity-first vertex order: start each component at its highest
@@ -66,6 +72,17 @@ def normalize_pattern(f: Graph) -> Pattern:
     used = sorted(v for v in range(f.n) if f.adj[v])
     if len(used) != f.n:
         f, _ = f.induced(used)
+    order = _matching_order(f)
+    oriented = [ab for a, b in sorted(f.edge_set) for ab in ((a, b), (b, a))]
+    index = {ab: i for i, ab in enumerate(oriented)}
+    # Aut(F) is a group, so an anchor's orbit is its set of images; label
+    # each anchor with the first index in its orbit
+    orbit = list(range(len(oriented)))
+    aut = 0
+    for sigma in _iter_maps(f, order, f):
+        aut += 1
+        for i, (a, b) in enumerate(oriented):
+            orbit[i] = min(orbit[i], index[sigma[a], sigma[b]])
     return Pattern(
         graph=f,
         s=f.n,
@@ -73,8 +90,9 @@ def normalize_pattern(f: Graph) -> Pattern:
         delta=f.min_degree(),
         m_F=density_m(f),
         mu_F=density_mu(f),
-        aut=automorphism_count(f),
-        order=_matching_order(f),
+        aut=aut,
+        order=order,
+        anchors=tuple((a, b, o) for (a, b), o in zip(oriented, orbit)),
     )
 
 
@@ -179,17 +197,22 @@ def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
     or None when no copy through e exists.
 
     Anchors each pattern edge onto e in both orientations and extends by
-    backtracking.
+    backtracking.  An anchor is skipped when an earlier anchor of its
+    Aut(F)-orbit has failed; every earlier anchor failed, so the first
+    success is the one the full loop would find.
     """
     u, v = e
     if u > v:
         u, v = v, u
     if v not in g.adj[u]:
         raise ParameterError(f"edge ({u},{v}) not present in host")
-    for a, b in sorted(f.graph.edge_set):
-        for hu, hv in ((u, v), (v, u)):
-            for mapping in _iter_maps(f.graph, f.order, g, fixed={a: hu, b: hv}):
-                return CopyWitness(tuple(mapping[i] for i in range(f.s)))
+    failed = set()
+    for a, b, orbit in f.anchors:
+        if orbit in failed:
+            continue
+        for mapping in _iter_maps(f.graph, f.order, g, fixed={a: u, b: v}):
+            return CopyWitness(tuple(mapping[i] for i in range(f.s)))
+        failed.add(orbit)
     return None
 
 

@@ -9,6 +9,7 @@ always leaves a weakly saturated graph.
 
 from __future__ import annotations
 
+import random
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -66,6 +67,59 @@ def lower_bound_general(g: Graph, f: Pattern) -> int:
     return min(g.m_edges, bound)
 
 
+_PRIME = 2**31 - 1
+
+
+def _rigidity_rank(n: int, edges, d: int) -> int:
+    """Rank of the d-dimensional rigidity matrix of a graph on n vertices,
+    by Gaussian elimination over GF(2^31 - 1) at fixed, seeded points.
+
+    Each minor is an integer polynomial in the coordinates, and one that is
+    nonzero mod p at some point is nonzero as a polynomial, so this rank is
+    never above the generic rank.
+    """
+    rng = random.Random(d)
+    x = [[rng.randrange(_PRIME) for _ in range(d)] for _ in range(n)]
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row) with row[pivot] == 1
+    for u, v in edges:
+        row = [0] * (d * n)
+        for i in range(d):
+            row[d * u + i] = (x[u][i] - x[v][i]) % _PRIME
+            row[d * v + i] = (x[v][i] - x[u][i]) % _PRIME
+        for pivot, b in basis:
+            c = row[pivot]
+            if c:
+                row = [(r - c * y) % _PRIME for r, y in zip(row, b)]
+        pivot = next((j for j, c in enumerate(row) if c), None)
+        if pivot is not None:
+            inv = pow(row[pivot], _PRIME - 2, _PRIME)
+            basis.append((pivot, [c * inv % _PRIME for c in row]))
+    return len(basis)
+
+
+def _qualifies(f: Pattern, d: int) -> bool:
+    """True when F - e spans e in the generic d-dimensional rigidity matroid
+    for every edge e of F, certified by F - e reaching the rank of K_s
+    (d <= s - 2)."""
+    full = d * f.s - d * (d + 1) // 2
+    edges = f.graph.edges()
+    return all(_rigidity_rank(f.s, [x for x in edges if x != e], d) >= full
+               for e in edges)
+
+
+def _rank_bound(g: Graph, f: Pattern) -> int:
+    """Kalai's rigidity bound ("Weakly saturated graphs are rigid", 1984).
+
+    When F qualifies in dimension d, adding an edge that completes a copy of
+    F never raises the d-dimensional rigidity rank, so a weakly saturated H
+    spans G and wsat(G,F) >= rank_d(G).  d = 1 is the bound n - c(G).
+    Returns 0 when F qualifies in no dimension d = 1..s-2.
+    """
+    edges = g.edges()
+    return max((_rigidity_rank(g.n, edges, d) for d in range(1, f.s - 1)
+                if _qualifies(f, d)), default=0)
+
+
 def _colex_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
     """k-subsets of range(m) in colexicographic order."""
     if k == 0:
@@ -81,11 +135,13 @@ def wsat_exact(
 ) -> WsatResult:
     """Iterative-deepening exact solver.
 
-    Deepens k from the general lower bound; at each k, enumerates k-edge
-    spanning subgraphs, discards any whose vertex degrees fall below
-    min{d_G(v), delta(F)-1}, then tests F-freeness and percolation.  If the
-    host itself has no copy of F, the host is the unique weakly saturated
-    graph and the answer is |E(G)| immediately.
+    Deepens k from the larger of the general lower bound and the rigidity
+    rank bound (a solved result still reports the general bound as
+    ``lower``); at each k, enumerates k-edge spanning subgraphs, discards any
+    whose vertex degrees fall below min{d_G(v), delta(F)-1}, then tests
+    F-freeness and percolation.  If the host itself has no copy of F, the
+    host is the unique weakly saturated graph and the answer is |E(G)|
+    immediately.
     """
     budget = budget or SearchBudget()
     start = time.monotonic()
@@ -104,7 +160,7 @@ def wsat_exact(
     edges = g.edges()
     need = [min(g.degree(v), f.delta - 1) for v in range(g.n)]
     need_total = sum(need)
-    k = lower_bound_general(g, f)
+    k = max(lower_bound_general(g, f), _rank_bound(g, f))
     nodes = 0
 
     while k <= m:

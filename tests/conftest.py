@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from wsat import (
     Graph,
@@ -10,6 +11,10 @@ from wsat import (
     sample_gnp,
     star,
 )
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
+# and more of them where a test does not set its own count
+settings.register_profile("ci", derandomize=True, max_examples=200)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wsat import ParameterError, complete, encode_edge_list, star
+from wsat import ParameterError, Seed, complete, encode_edge_list, sample_gnp, star
 from wsat.cli import main, parse_graph_arg
 
 
@@ -169,6 +169,29 @@ def test_seed_changes_gnp_host(capsys):
                         "--pattern", "complete:3", "--seed", s, "--json")
         outs.append(json.loads(out)["copies"])
     assert outs[0] != outs[1]
+
+
+def test_rng_seed_picks_closure_and_verify_host(capsys, tmp_path):
+    # with F = K2 every host edge joins the empty seed graph, so the trace
+    # lists the edges of the sampled host
+    closure = ["closure", "--host", "gnp:12,0.5", "--pattern", "complete:2",
+               "--seed", "empty:12", "--json"]
+    hosts = {}
+    for extra in ([], ["--rng-seed", "0"], ["--rng-seed", "1"]):
+        code, out, _ = run(capsys, *closure, *extra)
+        trace = json.loads(out)["trace"]
+        hosts[tuple(extra)] = sorted(tuple(step["edge"]) for step in trace)
+        assert code == 0
+    assert hosts[()] == hosts["--rng-seed", "0"] == sample_gnp(12, 0.5, Seed(0)).edges()
+    assert hosts["--rng-seed", "1"] == sample_gnp(12, 0.5, Seed(1)).edges()
+    assert hosts[()] != hosts["--rng-seed", "1"]
+
+    # the seed-1 trace replays on the seed-1 host only
+    (tmp_path / "trace.json").write_text(json.dumps(trace))
+    for rng_seed, valid in (("1", True), ("0", False)):
+        code, out, _ = run(capsys, "verify", *closure[1:7], "--rng-seed", rng_seed,
+                           "--trace", str(tmp_path / "trace.json"), "--json")
+        assert code == 0 and json.loads(out)["valid"] is valid
 
 
 VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",

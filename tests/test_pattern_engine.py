@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsat import (
+    CopyWitness,
     Graph,
     ParameterError,
     Seed,
@@ -22,6 +23,7 @@ from wsat import (
     sample_gnp,
     star,
 )
+from wsat.patterns import _iter_maps
 from conftest import random_host
 
 
@@ -176,3 +178,42 @@ def test_double_count_property(seed):
     g = sample_gnp(6, 0.5, Seed(seed))
     f = normalize_pattern(path(3))
     assert count_injective_maps(g, f) == count_copies(g, f) * f.aut
+
+
+ORBIT_PATTERNS = {
+    name: normalize_pattern(g) for name, g in [
+        ("K3", complete(3)), ("K4", complete(4)), ("C4", cycle(4)),
+        ("K23", complete_bipartite(2, 3)), ("P4", path(4)), ("K13", star(3))]
+} | {"2K2": M2, "K3+K2": K3_K2}
+
+
+def _copy_through_edge_all_anchors(g, f, e):
+    # the unpruned loop: every pattern edge anchored on e in both orientations
+    u, v = sorted(e)
+    for a, b in sorted(f.graph.edge_set):
+        for hu, hv in ((u, v), (v, u)):
+            for mapping in _iter_maps(f.graph, f.order, g, fixed={a: hu, b: hv}):
+                return CopyWitness(tuple(mapping[i] for i in range(f.s)))
+    return None
+
+
+def test_anchor_orbits():
+    orbits = {name: len({o for _, _, o in f.anchors}) for name, f in ORBIT_PATTERNS.items()}
+    assert orbits == {"K3": 1, "K4": 1, "C4": 1, "2K2": 1,
+                      "K23": 2, "K13": 2, "K3+K2": 2, "P4": 3}
+    auts = {name: f.aut for name, f in ORBIT_PATTERNS.items()}
+    assert auts == {"K3": 6, "K4": 24, "C4": 8, "K23": 12, "P4": 2, "K13": 6,
+                    "2K2": 8, "K3+K2": 12}
+    for f in ORBIT_PATTERNS.values():
+        assert f.aut == automorphism_count(f.graph)
+        assert [(a, b) for a, b, _ in f.anchors] == [
+            ab for a, b in sorted(f.graph.edge_set) for ab in ((a, b), (b, a))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10), st.floats(0.1, 1.0), st.integers(0, 2**32))
+def test_orbit_pruning_matches_all_anchor_loop(n, p, seed):
+    g = sample_gnp(n, p, Seed(seed))
+    for f in ORBIT_PATTERNS.values():
+        for e in g.edges():
+            assert copy_through_edge(g, f, e) == _copy_through_edge_all_anchors(g, f, e)

@@ -1,20 +1,31 @@
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsat import (
     Graph,
     PreconditionError,
     SearchBudget,
+    Seed,
     complete,
+    complete_bipartite,
     count_copies,
+    cycle,
     greedy_upper_bound,
     is_weakly_saturated,
     lower_bound_general,
+    matching,
     normalize_pattern,
+    path,
+    sample_gnp,
     star,
     verify_trace,
     wsat_exact,
     wsat_exact_naive,
 )
+from wsat.solver import _qualifies, _rank_bound
 from conftest import random_host
 
 
@@ -67,11 +78,56 @@ def test_oracle_equivalence_small_complete_hosts(k3, k4, k13, p3):
             assert wsat_exact(host, f).exact == wsat_exact_naive(host, f), (n, f.s, f.t)
 
 
-def test_budget_exhaustion_flags_partial(k3):
-    res = wsat_exact(complete(7), k3, SearchBudget(max_nodes=5, max_seconds=60))
+def test_budget_exhaustion_flags_partial(k23):
+    # the rank bound (5) sits below the general bound (6) here, so the search
+    # still has to walk level 6 and runs out of nodes there
+    res = wsat_exact(complete(6), k23, SearchBudget(max_nodes=5, max_seconds=60))
     assert res.budget_exceeded
     assert res.exact is None
-    assert res.lower <= res.upper == complete(7).m_edges
+    assert res.lower == 6 and res.upper == complete(6).m_edges
+
+
+BOUND_PATTERNS = [normalize_pattern(g) for g in (
+    complete(3), complete(4), cycle(4), complete_bipartite(2, 3), path(4), star(3),
+    matching(2), Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 6), st.floats(0.2, 1.0), st.integers(0, 2**32), st.booleans())
+def test_rank_bound_below_naive(n, p, seed, isolate):
+    g = sample_gnp(n, p, Seed(seed))
+    if isolate:  # vertex 0 isolated: a disconnected host
+        g = Graph(n, (e for e in g.edges() if 0 not in e))
+    for f in BOUND_PATTERNS:
+        if f.s > n:
+            continue
+        bound = _rank_bound(g, f)
+        if bound:  # a zero bound holds trivially, and the oracle is slow
+            assert bound <= wsat_exact_naive(g, f)
+
+
+def test_rank_bound_tight_on_cliques():
+    for s in (3, 4, 5):
+        f = normalize_pattern(complete(s))
+        for n in range(s, 9):
+            assert _rank_bound(complete(n), f) == (s - 2) * n - comb(s - 1, 2)
+
+
+def test_rank_bound_closes_clique_searches(k3, k4):
+    assert wsat_exact(complete(7), k3).nodes == 1
+    assert wsat_exact(complete(6), k4).nodes == 1
+
+
+def test_rank_bound_qualification():
+    for pattern in (path(3), path(5), star(2), star(4), matching(2), matching(3)):
+        f = normalize_pattern(pattern)
+        assert not any(_qualifies(f, d) for d in range(1, f.s - 1))
+    for s in (3, 4, 5):
+        f = normalize_pattern(complete(s))
+        assert all(_qualifies(f, d) for d in range(1, s - 1))
+    for pattern in (cycle(4), complete_bipartite(2, 3)):
+        f = normalize_pattern(pattern)
+        assert [d for d in range(1, f.s - 1) if _qualifies(f, d)] == [1]
 
 
 def test_greedy_examples(k3):
