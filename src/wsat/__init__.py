@@ -4,6 +4,7 @@ closed-form values, saturator constructions, and seeded experiments."""
 from .errors import (
     ConstructionError,
     GraphParseError,
+    InternalError,
     ParameterError,
     PreconditionError,
     RangeError,
@@ -32,7 +33,6 @@ from .graph import (
 from .patterns import (
     CopyWitness,
     Pattern,
-    automorphism_count,
     contains_copy,
     copy_through_edge,
     count_copies,
@@ -43,7 +43,6 @@ from .bootstrap import (
     ActivationTrace,
     ClosureResult,
     closure,
-    closure_naive,
     is_weakly_saturated,
     verify_trace,
     verify_trace_detailed,
@@ -54,13 +53,11 @@ from .solver import (
     greedy_upper_bound,
     lower_bound_general,
     wsat_exact,
-    wsat_exact_naive,
 )
 from .formulas import (
     FormulaQuery,
     StabilityProfile,
     closed_form_wsat,
-    construct_clique_partition_saturator,
     construct_complete_host_saturator,
     construct_random_host_saturator,
     generic_upper_bounds,

@@ -125,32 +125,6 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     )
 
 
-def closure_naive(host: Graph, f: Pattern, seed: Graph, scan_order=None) -> ClosureResult:
-    """Reference fixpoint: rescan every missing edge after each addition.
-
-    ``scan_order`` optionally permutes the candidate scan; the resulting edge
-    set must be identical for every order (order-independence oracle).
-    """
-    if not seed.is_spanning_subgraph_of(host):
-        raise PreconditionError("seed must be a spanning subgraph of the host")
-    work = _Work(seed)
-    missing = sorted(host.edge_set - seed.edge_set)
-    if scan_order is not None:
-        missing = list(scan_order(missing))
-    steps: list[tuple[Edge, CopyWitness]] = []
-    progress = True
-    while progress:
-        progress = False
-        for e in list(missing):
-            w = _try_edge(work, f, e)
-            if w is not None:
-                steps.append((e, w))
-                missing.remove(e)
-                progress = True
-    closed = Graph(host.n, work.edges())
-    return ClosureResult(closed, ActivationTrace(steps), closed.edge_set == host.edge_set)
-
-
 def is_weakly_saturated(host: Graph, f: Pattern, h: Graph) -> bool:
     """True iff H is F-free and its F-closure inside the host percolates."""
     if not h.is_spanning_subgraph_of(host):

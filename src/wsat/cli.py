@@ -8,7 +8,7 @@ Graph arguments accept either a ``family:params`` shorthand (``complete:5``,
 Output: JSON payload on stdout (keys sorted), a one-line human summary on
 stderr.  Exit codes: 0 success, 1 domain error (structure absent, failed
 verification, out-of-range formula), 2 usage error (bad flags, unreadable
-files, malformed graphs or traces).
+input or unwritable ``--out`` files, malformed graphs or traces).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .experiments import (
 from .formulas import (
     FormulaQuery,
     closed_form_wsat,
-    construct_clique_partition_saturator,
     construct_complete_host_saturator,
     construct_random_host_saturator,
     stability_profile,
@@ -73,16 +72,24 @@ def _number(kind, text: str):
         raise ParameterError(f"expected a number, got {text!r}") from None
 
 
-def parse_pattern_arg(spec: str, seed: int = 0) -> Pattern:
-    return normalize_pattern(parse_graph_arg(spec, seed))
+def parse_pattern_arg(spec: str) -> Pattern:
+    return normalize_pattern(parse_graph_arg(spec))
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write an ``--out`` file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _emit(payload: dict, summary: str, args) -> None:
     text = json.dumps(payload, sort_keys=True)
+    if args.out:  # before stdout, so a failed write prints no payload
+        _write_out(args.out, text + "\n")
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     if not args.json:
         print(summary, file=sys.stderr)
 
@@ -168,29 +175,19 @@ def cmd_construct(args) -> int:
             core_res = greedy_upper_bound(complete(m), f, Seed(seed))
             core = core_res.certificate[0]
         h = construct_complete_host_saturator(args.n, f, m, core)
-        host_n = args.n
-    elif args.method == "random":
+    else:
         if args.host is None or args.m is None:
             raise ParameterError("--host and --m are required for --method random")
         host = parse_graph_arg(args.host, seed)
         h = construct_random_host_saturator(host, f, args.m, Seed(seed))
-        host_n = host.n
-    elif args.method == "partition":
-        if args.host is None:
-            raise ParameterError("--host is required for --method partition")
-        host = parse_graph_arg(args.host, seed)
-        h = construct_clique_partition_saturator(host, f, Seed(seed))
-        host_n = host.n
-    else:
-        raise ParameterError(f"unknown method {args.method!r}")
     payload = {
         "method": args.method,
-        "n": host_n,
+        "n": h.n,
         "edges": h.m_edges,
         "verified": True,
         "edge_list": encode_edge_list(h),
     }
-    _emit(payload, f"construction verified: {h.m_edges} edges on {host_n} vertices", args)
+    _emit(payload, f"construction verified: {h.m_edges} edges on {h.n} vertices", args)
     return 0
 
 
@@ -230,10 +227,9 @@ def cmd_experiment(args) -> int:
         master_seed=seed, mode=args.mode, budget=budget,
     )
     report = run_experiment(cfg)
-    print(report.to_json())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+        _write_out(args.out, report.to_csv())
+    print(report.to_json())
     if not args.json:
         print(f"{args.mode}: {len(report.records)} trials over "
               f"{len(pgrid)} p-values", file=sys.stderr)
@@ -301,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", parents=[common],
                        help="build and verify an explicit saturator")
-    c.add_argument("--method", required=True, choices=["complete", "random", "partition"])
+    c.add_argument("--method", required=True, choices=["complete", "random"])
     c.add_argument("--pattern", required=True)
-    c.add_argument("--host", help="host graph (random/partition methods)")
+    c.add_argument("--host", help="host graph (random method)")
     c.add_argument("--n", type=int, help="host size (complete method)")
     c.add_argument("--m", type=int, help="clique/core size")
     c.add_argument("--core", help="core graph (complete method; default greedy)")

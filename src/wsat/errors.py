@@ -32,7 +32,7 @@ class RangeError(WsatError):
 
 
 class StructureAbsentError(WsatError):
-    """A construction could not find a required substructure (clique, S_i, R_i, ...)."""
+    """A construction found no clique of the requested size, or too few neighbors of it."""
 
 
 class ConstructionError(WsatError):
@@ -45,3 +45,8 @@ class ConstructionError(WsatError):
     def __init__(self, message: str, diagnostic=None):
         self.diagnostic = diagnostic
         super().__init__(message)
+
+
+class InternalError(WsatError):
+    """An internal invariant failed, which signals an engine bug, not bad
+    input.  Raised explicitly, so ``python -O`` cannot strip it."""

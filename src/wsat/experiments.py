@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 from itertools import combinations
 from math import comb, factorial
 
-from .errors import ParameterError
+from .errors import InternalError, ParameterError
 from .graph import Graph, Seed, cliques, common_neighbors, complete, derive_seed, sample_gnp
 from .patterns import Pattern, contains_copy, count_copies
 from .solver import SearchBudget, WsatResult, wsat_exact
@@ -33,6 +33,8 @@ class ExperimentConfig:
     budget: SearchBudget | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError("n must be >= 1")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if not self.p_grid:
@@ -216,7 +218,7 @@ def _sandwich(cfg: ExperimentConfig, report: ExperimentReport):
     def trial(g: Graph, rec: TrialRecord) -> None:
         res = _solve(cfg, g, rec)
         if not res.budget_exceeded and not g.m_edges - rec.x_f <= res.exact <= g.m_edges:
-            raise AssertionError(
+            raise InternalError(
                 f"sandwich violated at p={rec.p} trial={rec.trial}: "
                 f"|E|={g.m_edges} X_F={rec.x_f} wsat={res.exact}"
             )

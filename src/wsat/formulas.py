@@ -14,6 +14,7 @@ from typing import Optional
 from .bootstrap import closure, is_weakly_saturated
 from .errors import (
     ConstructionError,
+    InternalError,
     ParameterError,
     RangeError,
     StructureAbsentError,
@@ -154,21 +155,10 @@ def _verified(host: Graph, f: Pattern, h: Graph, what: str) -> Graph:
     raise ConstructionError(f"{what} failed verification", diagnostic=diagnostic)
 
 
-def _max_clique(g: Graph, vertices: list[int]) -> tuple[int, ...]:
-    """Lexicographically first maximum clique within a vertex subset."""
-    best: tuple[int, ...] = ()
-    while (bigger := next(cliques(g, vertices, len(best) + 1), None)) is not None:
-        best = bigger
-    return best
-
-
 def _greedy_core(g: Graph, part: list[int], f: Pattern, seed: Seed) -> set:
     """Weakly (G[part], F)-saturated edge set via reverse-delete, in G's labels."""
     sub, labels = g.induced(part)
-    if sub.m_edges == 0:
-        return set()
-    res = greedy_upper_bound(sub, f, seed)
-    h, _ = res.certificate
+    h, _ = greedy_upper_bound(sub, f, seed).certificate
     return {(labels[u], labels[v]) for u, v in h.edge_set}
 
 
@@ -214,61 +204,6 @@ def construct_random_host_saturator(
     return _verified(g, f, Graph(g.n, edges), "clique-anchored construction")
 
 
-def construct_clique_partition_saturator(
-    g: Graph, f: Pattern, seed: Seed | int = 0
-) -> Graph:
-    """Clique-partition saturator for an arbitrary host.
-
-    Greedily partitions V(G) into cliques V_1 >= V_2 >= ... (largest first),
-    builds a greedy core inside each part, fixes an (s-2)-set S in V_1, and
-    wires each part's (s-1)-set S_i (preferring common neighbors of S) to
-    S plus an (s-2)-set R_i drawn from the common neighborhood of S u S_i.
-    All set choices are greedy lowest-index so failures are reproducible.
-    """
-    if isinstance(seed, int):
-        seed = Seed(seed)
-    s = f.s
-    remaining = list(range(g.n))
-    parts: list[list[int]] = []
-    while remaining:
-        c = _max_clique(g, remaining)
-        parts.append(sorted(c))
-        remaining = [v for v in remaining if v not in set(c)]
-    if len(parts[0]) < s - 2:
-        raise StructureAbsentError(
-            f"largest clique has {len(parts[0])} vertices, cannot pick S of size {s-2}"
-        )
-    S = parts[0][: s - 2]
-    S_set = set(S)
-    nS = common_neighbors(g, S)
-    edges: set = set()
-    for i, part in enumerate(parts):
-        edges |= _greedy_core(g, part, f, Seed(seed.master, seed.stream + i + 1))
-    for i, part in enumerate(parts):
-        inside = [v for v in part if v in nS]
-        if len(inside) >= s - 1:
-            s_i = inside[: s - 1]
-        else:
-            fill = [v for v in part if v not in S_set and v not in inside]
-            s_i = inside + fill[: s - 1 - len(inside)]
-            if len(s_i) < s - 1:
-                raise StructureAbsentError(
-                    f"part {i} too small to pick S_i of size {s-1}"
-                )
-        r_pool = common_neighbors(g, S + s_i)
-        if len(r_pool) < s - 2:
-            raise StructureAbsentError(
-                f"part {i}: only {len(r_pool)} common neighbors of S u S_i, "
-                f"cannot pick R_i of size {s-2}"
-            )
-        r_i = r_pool[: s - 2]
-        for u in s_i:
-            for v in S + r_i:
-                if v in g.adj[u]:
-                    edges.add((min(u, v), max(u, v)))
-    return _verified(g, f, Graph(g.n, edges), "clique-partition construction")
-
-
 # -- stability profile -------------------------------------------------------
 
 
@@ -309,7 +244,7 @@ def stability_profile(
         raise ParameterError("budget exhausted before any profile point")
     for (_, a), (_, b) in zip(table, table[1:]):
         if b > a:
-            raise AssertionError(f"phi increased from {a} to {b}; engine bug")
+            raise InternalError(f"phi increased from {a} to {b}; engine bug")
     d_F = table[-1][1]
     floor = n_min if d == 1 else s
     k = next((n for n, phi in table if phi == d_F and n >= floor), table[-1][0])

@@ -26,7 +26,7 @@ from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator
 
-from .errors import GraphParseError, ParameterError, UndefinedDensityError
+from .errors import GraphParseError, InternalError, ParameterError, UndefinedDensityError
 
 Edge = tuple[int, int]
 
@@ -110,12 +110,12 @@ class Graph:
         """Re-check symmetry and loop-freeness over all pairs (test hook)."""
         for v in range(self.n):
             if v in self.adj[v]:
-                raise AssertionError(f"loop at {v}")
+                raise InternalError(f"loop at {v}")
             for u in self.adj[v]:
                 if v not in self.adj[u]:
-                    raise AssertionError(f"asymmetric pair ({u},{v})")
+                    raise InternalError(f"asymmetric pair ({u},{v})")
         if 2 * self.m_edges != sum(len(s) for s in self.adj):
-            raise AssertionError("edge count disagrees with the adjacency sets")
+            raise InternalError("edge count disagrees with the adjacency sets")
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,8 @@ class Seed:
     master: int
     stream: int = 0
 
-    def derived(self, *indices: int) -> int:
-        return derive_seed(self.master, self.stream, *indices)
-
-    def rng(self, *indices: int) -> Random:
-        return Random(self.derived(*indices))
+    def rng(self) -> Random:
+        return Random(derive_seed(self.master, self.stream))
 
 
 def derive_seed(master: int, *indices: int) -> int:

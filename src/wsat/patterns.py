@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import ParameterError
+from .errors import InternalError, ParameterError
 from .graph import Edge, Graph, density_m, density_mu
 
 
@@ -163,7 +163,7 @@ def count_copies(g, f: Pattern) -> int:
     """Number of subgraphs of G isomorphic to F (injective maps / |Aut(F)|)."""
     total = count_injective_maps(g, f)
     if total % f.aut:
-        raise AssertionError(f"{total} maps is not a multiple of |Aut(F)| = {f.aut}")
+        raise InternalError(f"{total} maps is not a multiple of |Aut(F)| = {f.aut}")
     return total // f.aut
 
 
@@ -214,15 +214,3 @@ def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
             return CopyWitness(tuple(mapping[i] for i in range(f.s)))
         failed.add(orbit)
     return None
-
-
-def automorphism_count(f: Graph) -> int:
-    """|Aut(F)| by backtracking.
-
-    An injective edge-preserving self-map is a bijection carrying edges onto
-    edges, hence an automorphism, so counting such maps suffices.
-    """
-    if f.n == 0:
-        return 1
-    order = _matching_order(f)
-    return sum(1 for _ in _iter_maps(f, order, f))

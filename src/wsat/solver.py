@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .bootstrap import ActivationTrace, closure, is_weakly_saturated
-from .errors import ParameterError, PreconditionError
+from .bootstrap import ActivationTrace, closure
+from .errors import InternalError, ParameterError, PreconditionError
 from .graph import Graph, Seed
 from .patterns import Pattern, _iter_maps, contains_copy, copy_through_edge
 
@@ -197,24 +197,8 @@ def wsat_exact(
                     nodes=nodes,
                 )
         k += 1
-    raise AssertionError("unreachable: the host itself is always weakly saturated "
-                         "when it is F-free, and contains F otherwise, so some k succeeds")
-
-
-def wsat_exact_naive(g: Graph, f: Pattern) -> int:
-    """Unpruned enumeration oracle: smallest k whose k-edge spanning subgraphs
-    contain a weakly saturated one.  Test-grade, no budget, no filters."""
-    from itertools import combinations
-
-    if not contains_copy(g, f):
-        return g.m_edges
-    edges = g.edges()
-    for k in range(0, g.m_edges + 1):
-        for subset in combinations(edges, k):
-            h = Graph(g.n, subset)
-            if is_weakly_saturated(g, f, h):
-                return k
-    raise AssertionError("unreachable")
+    raise InternalError("unreachable: the host itself is always weakly saturated "
+                        "when it is F-free, and contains F otherwise, so some k succeeds")
 
 
 def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult:

@@ -16,7 +16,6 @@ from wsat import (
     Seed,
     closed_form_wsat,
     closure,
-    closure_naive,
     complete,
     complete_bipartite,
     construct_complete_host_saturator,
@@ -34,6 +33,7 @@ from wsat import (
     wsat_exact,
 )
 from conftest import acceptance_lines, random_host, random_spanning_subgraph
+from oracles import closure_naive
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

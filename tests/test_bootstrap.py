@@ -6,7 +6,6 @@ from wsat import (
     PreconditionError,
     Seed,
     closure,
-    closure_naive,
     complete,
     empty,
     is_weakly_saturated,
@@ -17,6 +16,7 @@ from wsat import (
     verify_trace_detailed,
 )
 from conftest import random_host, random_spanning_subgraph
+from oracles import closure_naive
 
 
 def _pad(g: Graph, n: int) -> Graph:

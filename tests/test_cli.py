@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsat import ParameterError, Seed, complete, encode_edge_list, sample_gnp, star
 from wsat.cli import main, parse_graph_arg
@@ -205,6 +209,7 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
       "--budget-nodes", "0"], ""),
     (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
       "--pgrid", "0.3,x"], ""),
+    (["experiment", "--mode", "sandwich", "--pattern", "complete:3", "--n", "0"], ""),
     (["construct", "--method", "random", "--pattern", "complete:3",
       "--host", "complete:17", "--m", "-1"], ""),
     (["experiment", "--mode", "neighborhood", "--pattern", "complete:3",
@@ -217,12 +222,119 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
     (VERIFY, '[{"edge": [0, 1], "witness": ["a", "b", "c"]}]'),
     (VERIFY, '[{"edge": [0, 2.5], "witness": [0, 1, 2]}]'),
     (VERIFY, '[{"edge": [true, 2], "witness": [0, 1, 2]}]'),
-], ids=["bad-int", "bad-float", "zero-budget", "bad-pgrid", "negative-clique",
+    (["solve", "--host", "complete:4", "--pattern", "complete:3",
+      "--out", "{dir}/missing/x.json"], ""),
+    (["count", "--host", "complete:4", "--pattern", "complete:3", "--out", "{dir}"], ""),
+    (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
+      "--trials", "2", "--out", "{dir}"], ""),
+], ids=["bad-int", "bad-float", "zero-budget", "bad-pgrid", "experiment-n-zero",
+        "negative-clique",
         "cap-zero", "nan-budget",
         "trace-not-json", "trace-missing-edge", "trace-not-list",
-        "trace-str-witness", "trace-float-edge", "trace-bool-edge"])
+        "trace-str-witness", "trace-float-edge", "trace-bool-edge",
+        "out-missing-dir", "out-is-dir-count", "out-is-dir-experiment"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, trace):
     (tmp_path / "seed.el").write_text("4 3\n0 1\n0 2\n0 3\n")
     (tmp_path / "trace.json").write_text(trace)
-    code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
-    assert code == 2 and err.startswith("error:")
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_construct_partition_method_removed(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["construct", "--method", "partition", "--pattern", "complete:3",
+              "--host", "complete:6"])
+    assert info.value.code == 2
+    assert "invalid choice: 'partition'" in capsys.readouterr().err
+
+
+# -- exit-contract fuzzing ---------------------------------------------------
+
+BAD = ["x", "-1", "0", "nan"]
+GRAPHS = ["complete:4", "complete:6", "gnp:6,0.5", "cycle:5", "path:6", "empty:6",
+          "cbip:2,3", "complete:x", "complete:0", "gnp:6,nan", "gnp:6", "nope:3",
+          "{dir}/ok.el", "{dir}/bad.el", "{dir}/short.el", "{dir}/junk.el",
+          "{dir}/missing.el"]
+PATTERNS = ["complete:3", "complete:4", "cycle:4", "star:3", "matching:2",
+            "cbip:2,3", "empty:3", "path:1", "x", "{dir}/ok.el", "{dir}/bad.el"]
+INTS = BAD + ["1", "2", "5", "6"]
+FLAG_VALUES = {
+    "--host": GRAPHS, "--seed-graph": GRAPHS, "--core": GRAPHS,
+    "--pattern": PATTERNS,
+    "--trace": ["{dir}/trace.json", "{dir}/empty.json", "{dir}/bad-trace.json",
+                "{dir}/not-list.json", "{dir}/junk.el", "{dir}/missing.json"],
+    "--out": ["{dir}/out.txt", "{dir}/missing/out.txt", "{dir}"],
+    "--seed": INTS, "--rng-seed": INTS, "--budget-nodes": INTS + ["1000"],
+    "--budget-seconds": BAD + ["2"], "--greedy-repeats": BAD + ["2"],
+    "--family": ["ks", "ktt", "kst", "k2t", "k1t", "x"],
+    "--n": INTS, "--s": INTS, "--t": INTS, "--m": INTS, "--k": INTS,
+    "--nmax": INTS, "--trials": BAD + ["2"], "--cap": BAD + ["10"],
+    "--method": ["complete", "random", "partition", "x"],
+    "--mode": ["stability", "sandwich", "neighborhood", "scan", "x"],
+    "--pgrid": ["0.5", "0.2,0.9", "0.9,0.2", "0.3,x", "nan", "-1", "2"],
+    "--p": BAD + ["0.5"],
+}
+# each subcommand's (required, optional) flags; "--seed-graph" is the graph
+# given to --seed
+SUBCOMMANDS = {
+    "closure": (["--host", "--pattern", "--seed-graph"], ["--rng-seed"]),
+    "verify": (["--host", "--pattern", "--seed-graph", "--trace"], ["--rng-seed"]),
+    "solve": (["--host", "--pattern"],
+              ["--seed", "--budget-nodes", "--budget-seconds", "--greedy-repeats"]),
+    "formula": (["--family", "--n"], ["--s", "--t"]),
+    "construct": (["--method", "--pattern"],
+                  ["--host", "--n", "--m", "--core", "--seed"]),
+    "profile": (["--pattern", "--nmax"], ["--budget-nodes", "--budget-seconds"]),
+    "experiment": (["--mode", "--pattern", "--n"],
+                   ["--pgrid", "--trials", "--host", "--k", "--p", "--cap",
+                    "--budget-nodes", "--budget-seconds", "--seed"]),
+    "count": (["--host", "--pattern"], ["--seed"]),
+}
+FILES = {
+    "ok.el": "6 4\n0 1\n1 2\n2 0\n3 4\n",
+    "bad.el": "3 1\n0 0\n",
+    "short.el": "4 2\n0 1\n",
+    "trace.json": '[{"edge": [0, 3], "witness": [0, 1, 3]}]',
+    "empty.json": "[]",
+    "bad-trace.json": '[{"edge": [0, 9], "witness": [0, 1, -2]}]',
+    "not-list.json": '{"edge": [0, 1]}',
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, text in FILES.items():
+        (d / name).write_text(text)
+    (d / "junk.el").write_bytes(b"\xff\xfe 3 1\n")
+    return d
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    required, optional = SUBCOMMANDS[command]
+    flags = required + draw(st.lists(st.sampled_from(optional + ["--out"]), unique=True))
+    argv = [command]
+    for flag in flags:
+        argv += [flag.replace("--seed-graph", "--seed"),
+                 draw(st.sampled_from(FLAG_VALUES[flag]))]
+    if "--budget-seconds" in optional and "--budget-seconds" not in flags:
+        argv += ["--budget-seconds", "2"]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_cli_exit_contract(fuzz_dir, argv):
+    # 0 success, 1 domain error, 2 usage error (argparse exits with 0 or 2);
+    # any other exception is a traceback the contract forbids
+    argv = [a.format(dir=fuzz_dir) for a in argv]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code in (0, 2), argv
+    assert code in (0, 1, 2), argv

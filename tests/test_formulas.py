@@ -10,7 +10,6 @@ from wsat import (
     closed_form_wsat,
     complete,
     complete_bipartite,
-    construct_clique_partition_saturator,
     construct_complete_host_saturator,
     construct_random_host_saturator,
     generic_upper_bounds,
@@ -132,47 +131,6 @@ def test_construct_random_host_no_clique(k3):
     tri_free = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     with pytest.raises(StructureAbsentError):
         construct_random_host_saturator(tri_free, k3, 3)
-
-
-def test_construct_partition_k9(k3):
-    # success is core-shape dependent; seed 2 is a recorded succeeding run
-    h = construct_clique_partition_saturator(complete(9), k3, 2)
-    s = k3.s
-    assert h.m_edges <= 8 + 2 * (s - 1) * (s - 2)  # single part: core + wiring
-    assert is_weakly_saturated(complete(9), k3, h)
-
-
-def test_construct_partition_failure_is_explicit(k3):
-    # other seeds may wire a triangle into the candidate; that must surface
-    # as an explicit error, never as an unverified graph (recorded outcomes:
-    # None means the construction succeeds)
-    triangle = {"reason": "candidate contains a copy of the pattern"}
-    expected = {0: triangle, 1: triangle, 2: None, 3: triangle}
-    for seed, diagnostic in expected.items():
-        try:
-            h = construct_clique_partition_saturator(complete(9), k3, seed)
-        except ConstructionError as exc:
-            assert str(exc) == "clique-partition construction failed verification"
-            assert exc.diagnostic == diagnostic
-        else:
-            assert diagnostic is None
-            assert is_weakly_saturated(complete(9), k3, h)
-
-
-def test_construct_partition_disconnected_parts(k3):
-    two_k4 = Graph(8, [(u, v) for u in range(4) for v in range(u + 1, 4)]
-                      + [(u, v) for u in range(4, 8) for v in range(u + 1, 8)])
-    with pytest.raises(StructureAbsentError):
-        construct_clique_partition_saturator(two_k4, k3)
-
-
-def test_construct_partition_gnp30_recorded(k3):
-    # recorded outcome: this desk-scale instance fails on a too-small
-    # trailing part, which is an expected outcome, not a bug
-    g = sample_gnp(30, 0.7, 2)
-    with pytest.raises(StructureAbsentError,
-                       match=r"^part 5 too small to pick S_i of size 2$"):
-        construct_clique_partition_saturator(g, k3, 0)
 
 
 def test_stability_profile_k3(k3):

@@ -213,7 +213,7 @@ def test_invariant_checks_survive_optimize_flag():
     # under -O a bare assert is stripped; the checks must still raise
     script = """
 import dataclasses
-from wsat import Graph, complete, count_copies, normalize_pattern
+from wsat import Graph, InternalError, complete, count_copies, normalize_pattern
 assert False, "stripped under -O"
 g = Graph(3, [(0, 1)])
 g.adj = (frozenset({1}), frozenset(), frozenset())
@@ -221,7 +221,7 @@ bad_aut = dataclasses.replace(normalize_pattern(complete(3)), aut=4)
 for check in (g.validate, lambda: count_copies(complete(3), bad_aut)):
     try:
         check()
-    except AssertionError as exc:
+    except InternalError as exc:
         print("raised:", exc)
 """
     src = os.path.dirname(os.path.dirname(sys.modules["wsat"].__file__))

@@ -17,7 +17,6 @@ from wsat import (
     WsatError,
     complete,
     complete_bipartite,
-    construct_clique_partition_saturator,
     construct_random_host_saturator,
     cycle,
     encode_edge_list,
@@ -73,7 +72,9 @@ def _outcome(build) -> str:
 
 
 # (n, p, sampling seed) of each G(n,p) host; sparse ones make the
-# constructions fail, and the failure message is part of the pin
+# constructions fail, and the failure message is part of the pin.  Re-recorded
+# when the clique-partition construction was deleted: the digest is that of
+# the same random-host outputs with the partition lines left out.
 HOSTS = [(8, 0.5, 1), (9, 0.7, 2), (10, 0.8, 3), (12, 0.6, 4), (12, 0.9, 5)]
 
 
@@ -85,10 +86,8 @@ def test_random_host_constructions_pinned():
             for m in (2, 3):
                 out.append(_outcome(
                     lambda: construct_random_host_saturator(g, f, m, Seed(s))))
-            out.append(_outcome(
-                lambda: construct_clique_partition_saturator(g, f, Seed(s))))
     assert _sha("".join(out)) == (
-        "c7d555ffca316096b4ba0be5348f787f9ef00b114fa0688d743a5b7987436abb")
+        "259aeaab68ef898fe5f70abdc394561e255d57ec3955382a90d0b93ede57bf2f")
 
 
 # (n, p, sampling seed) of each G(n,p) host handed to greedy, which is run

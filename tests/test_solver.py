@@ -23,10 +23,10 @@ from wsat import (
     star,
     verify_trace,
     wsat_exact,
-    wsat_exact_naive,
 )
 from wsat.solver import _qualifies, _rank_bound
 from conftest import random_host
+from oracles import wsat_exact_naive
 
 
 def test_lower_bound_examples(k3, k13):
