@@ -85,6 +85,13 @@ def _write_out(path: str, text: str) -> None:
         raise ParameterError(f"cannot write {path!r}: {exc}") from exc
 
 
+def _unread(args, names: str, context: str) -> None:
+    """Usage error for any flag in ``names`` given where ``context`` reads none."""
+    given = [f"--{x}" for x in names.split() if getattr(args, x) is not None]
+    if given:
+        raise ParameterError(f"{', '.join(given)} not used by {context}")
+
+
 def _emit(payload: dict, summary: str, args) -> None:
     text = json.dumps(payload, sort_keys=True)
     if args.out:  # before stdout, so a failed write prints no payload
@@ -166,6 +173,7 @@ def cmd_construct(args) -> int:
     seed = args.rng_seed
     f = parse_pattern_arg(args.pattern)
     if args.method == "complete":
+        _unread(args, "host", "--method complete")
         if args.n is None:
             raise ParameterError("--n is required for --method complete")
         m = args.m if args.m is not None else max(f.delta - 1, 1)
@@ -176,6 +184,7 @@ def cmd_construct(args) -> int:
             core = core_res.certificate[0]
         h = construct_complete_host_saturator(args.n, f, m, core)
     else:
+        _unread(args, "n core", "--method random")
         if args.host is None or args.m is None:
             raise ParameterError("--host and --m are required for --method random")
         host = parse_graph_arg(args.host, seed)
@@ -211,6 +220,7 @@ def cmd_experiment(args) -> int:
     seed = args.rng_seed
     f = parse_pattern_arg(args.pattern)
     if args.mode == "neighborhood":
+        _unread(args, "n pgrid trials", "--mode neighborhood")
         if args.host is None or args.k is None or args.p is None:
             raise ParameterError("neighborhood mode needs --host, --k and --p")
         host = parse_graph_arg(args.host, seed)
@@ -218,12 +228,13 @@ def cmd_experiment(args) -> int:
         _emit(rep, "neighborhood fractions: "
                    f"{rep['fraction_common_ge_floor']:.3f} common-size floor", args)
         return 0
+    _unread(args, "host k p", f"--mode {args.mode}")
     if args.n is None:
         raise ParameterError("--n is required")
     pgrid = [_number(float, x) for x in args.pgrid.split(",")] if args.pgrid else [0.5]
     budget = SearchBudget(args.budget_nodes, args.budget_seconds)
     cfg = ExperimentConfig(
-        f=f, n=args.n, p_grid=pgrid, trials=args.trials,
+        f=f, n=args.n, p_grid=pgrid, trials=10 if args.trials is None else args.trials,
         master_seed=seed, mode=args.mode, budget=budget,
     )
     report = run_experiment(cfg)
@@ -320,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--pattern", required=True)
     c.add_argument("--n", type=int)
     c.add_argument("--pgrid", help="comma-separated increasing probabilities")
-    c.add_argument("--trials", type=int, default=10)
+    c.add_argument("--trials", type=int, help="trials per p (default 10)")
     c.add_argument("--host", help="host graph (neighborhood mode)")
     c.add_argument("--k", type=int, help="subset size (neighborhood mode)")
     c.add_argument("--p", type=float, help="probability used for the floor (neighborhood)")

@@ -107,11 +107,11 @@ def _iter_maps(
 ) -> Iterator[dict[int, int]]:
     """Yield injective edge-preserving maps V(pat) -> V(host).
 
-    ``host`` needs only ``.n`` and ``.adj`` (a sequence of sets), so closure
-    engines can pass mutable working graphs.  ``fixed`` pins the two ends of
-    one pattern edge onto the two ends of a host edge; only
-    :func:`copy_through_edge` uses it, and it checks that the host edge is
-    present, so the pinned pair is not rechecked here.
+    Each map is one live dict, valid until the iterator resumes: read it at
+    once, copy it to keep it.  ``host`` needs only ``.n`` and ``.adj`` (a
+    sequence of sets), so callers can pass mutable working graphs.  ``fixed``
+    pins the ends of one pattern edge onto a host edge the caller has checked
+    is present, so the pinned pair is not rechecked here.
     """
     mapping: dict[int, int] = dict(fixed or {})
     used = [False] * host.n
@@ -121,7 +121,7 @@ def _iter_maps(
 
     def extend(i: int) -> Iterator[dict[int, int]]:
         if i == len(todo):
-            yield dict(mapping)
+            yield mapping
             return
         pv = todo[i]
         mapped_nbrs = [mapping[pu] for pu in pat.adj[pv] if pu in mapping]
@@ -147,11 +147,7 @@ def _iter_maps(
 
 def contains_copy(g, f: Pattern) -> bool:
     """True iff an injective edge-preserving map F -> G exists."""
-    if f.s > g.n:
-        return False
-    for _ in _iter_maps(f.graph, f.order, g):
-        return True
-    return False
+    return f.s <= g.n and any(True for _ in _iter_maps(f.graph, f.order, g))
 
 
 def count_injective_maps(g, f: Pattern) -> int:

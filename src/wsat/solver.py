@@ -4,7 +4,9 @@ wsat(G,F) is the minimum edge count of a spanning F-free subgraph H of G
 whose F-closure percolates to G.  The exact solver runs iterative deepening
 over k-edge spanning subgraphs (colexicographic subset order) with a degree
 filter; the greedy solver reverse-deletes edges lying in copies of F, which
-always leaves a weakly saturated graph.
+always leaves a weakly saturated graph.  Greedy counts the maps of F through
+each host edge once; a deletion subtracts the maps through the deleted edge,
+each sending exactly one oriented pattern edge onto it, so none twice.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .bootstrap import ActivationTrace, closure
+from .bootstrap import ActivationTrace, _Work, closure
 from .errors import InternalError, ParameterError, PreconditionError
 from .graph import Graph, Seed
 from .patterns import Pattern, _iter_maps, contains_copy, copy_through_edge
@@ -209,36 +211,41 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
     structure as possible keeps later deletions available.  The remainder is
     F-free, and replaying the deletions in reverse is a valid saturation
     order, so the remainder is weakly (G,F)-saturated.
+
+    The maps of F are counted once, up front; deleting e subtracts only the
+    maps through e, found by anchoring every oriented pattern edge on e.  An
+    injective map sends exactly one pattern edge onto e, in one orientation,
+    so each is subtracted once.  The remainder becomes a ``Graph`` at the end.
     """
     if isinstance(seed, int):
         seed = Seed(seed)
     rng = seed.rng()
-    work_edges = set(g.edge_set)
-    deletions: list = []
-    current = g
-    while True:
-        # one pass over the maps F -> current; an injective map sends F's t
-        # edges to t distinct host edges, so each edge is counted
-        # |copies through it| * |Aut(F)| times
+    work = _Work(g)
+
+    def count(pins) -> Counter:
+        # F's t edges go to t distinct host edges: |copies through e| * |Aut(F)|
         through: Counter = Counter()
-        for mapping in _iter_maps(f.graph, f.order, current):
-            for x, y in f.graph.edge_set:
-                a, b = mapping[x], mapping[y]
-                through[(a, b) if a < b else (b, a)] += 1
-        if not through:
-            break
+        for fixed in pins:
+            for mapping in _iter_maps(f.graph, f.order, work, fixed):
+                for x, y in f.graph.edge_set:
+                    a, b = mapping[x], mapping[y]
+                    through[(a, b) if a < b else (b, a)] += 1
+        return through
+
+    through = count([None])  # one unpinned pass over every map
+    deletions: list = []
+    while through:
         best = min(through.values())
         e = rng.choice(sorted(e for e, c in through.items() if c == best))
-        w = copy_through_edge(current, f, e)
-        deletions.append((e, w))
-        work_edges.remove(e)
-        current = Graph(g.n, work_edges)
-    h = current
-    trace = ActivationTrace(list(reversed(deletions)))
+        deletions.append((e, copy_through_edge(work, f, e)))
+        u, v = e
+        through -= count({a: u, b: v} for a, b, _ in f.anchors)  # drops zeros
+        work.remove(u, v)
+    h = Graph(g.n, work.edges())
     lower = lower_bound_general(g, f) if g.n >= f.s else 0
     return WsatResult(
-        lower=min(lower, len(work_edges)),
-        upper=len(work_edges),
-        certificate=(h, trace),
+        lower=min(lower, h.m_edges),
+        upper=h.m_edges,
+        certificate=(h, ActivationTrace(deletions[::-1])),
         method="greedy",
     )

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from wsat import (
     Graph,
@@ -44,6 +47,18 @@ def k23():
 
 def random_host(n: int, p: float, seed: int) -> Graph:
     return sample_gnp(n, p, Seed(seed))
+
+
+@st.composite
+def small_hosts(draw, max_n: int = 7) -> Graph:
+    """Hosts on 1..max_n vertices.  Edges between the first ``cut`` vertices
+    and the rest are never drawn, so disconnected hosts, and hosts with an
+    isolated vertex (cut = 1 or n - 1), come up often."""
+    n = draw(st.integers(1, max_n))
+    cut = draw(st.integers(0, n))
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if (u < cut) == (v < cut)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 def random_spanning_subgraph(g: Graph, keep: float, seed: int) -> Graph:

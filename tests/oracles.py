@@ -1,9 +1,13 @@
 """Reference implementations the tests check the engine against.
 
-Both are deliberately unoptimized: ``closure_naive`` rescans every missing
-edge after each addition, and ``wsat_exact_naive`` tries every edge subset
-in increasing size.  They are not part of the ``wsat`` package.
+All are deliberately unoptimized: ``closure_naive`` rescans every missing
+edge after each addition, ``wsat_exact_naive`` tries every edge subset in
+increasing size, and ``greedy_naive`` re-enumerates every map of F into the
+current graph in each deletion round.  They are not part of the ``wsat``
+package.
 """
+
+from collections import Counter
 
 from wsat.bootstrap import (
     ActivationTrace,
@@ -13,8 +17,10 @@ from wsat.bootstrap import (
     is_weakly_saturated,
 )
 from wsat.errors import PreconditionError
-from wsat.graph import Edge, Graph
-from wsat.patterns import CopyWitness, Pattern, contains_copy
+from wsat.graph import Edge, Graph, Seed
+from wsat.patterns import (
+    CopyWitness, Pattern, _iter_maps, contains_copy, copy_through_edge)
+from wsat.solver import WsatResult, lower_bound_general
 
 
 def closure_naive(host: Graph, f: Pattern, seed: Graph, scan_order=None) -> ClosureResult:
@@ -57,3 +63,46 @@ def wsat_exact_naive(g: Graph, f: Pattern) -> int:
             if is_weakly_saturated(g, f, h):
                 return k
     raise AssertionError("unreachable")
+
+
+def greedy_naive(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult:
+    """Reverse-delete upper bound.
+
+    Repeatedly deletes an edge lying in a copy of F, preferring the edge that
+    lies in the fewest copies (seeded random tie-break): destroying as little
+    structure as possible keeps later deletions available.  The remainder is
+    F-free, and replaying the deletions in reverse is a valid saturation
+    order, so the remainder is weakly (G,F)-saturated.
+    """
+    if isinstance(seed, int):
+        seed = Seed(seed)
+    rng = seed.rng()
+    work_edges = set(g.edge_set)
+    deletions: list = []
+    current = g
+    while True:
+        # one pass over the maps F -> current; an injective map sends F's t
+        # edges to t distinct host edges, so each edge is counted
+        # |copies through it| * |Aut(F)| times
+        through: Counter = Counter()
+        for mapping in _iter_maps(f.graph, f.order, current):
+            for x, y in f.graph.edge_set:
+                a, b = mapping[x], mapping[y]
+                through[(a, b) if a < b else (b, a)] += 1
+        if not through:
+            break
+        best = min(through.values())
+        e = rng.choice(sorted(e for e, c in through.items() if c == best))
+        w = copy_through_edge(current, f, e)
+        deletions.append((e, w))
+        work_edges.remove(e)
+        current = Graph(g.n, work_edges)
+    h = current
+    trace = ActivationTrace(list(reversed(deletions)))
+    lower = lower_bound_general(g, f) if g.n >= f.s else 0
+    return WsatResult(
+        lower=min(lower, len(work_edges)),
+        upper=len(work_edges),
+        certificate=(h, trace),
+        method="greedy",
+    )

@@ -198,6 +198,8 @@ def test_rng_seed_picks_closure_and_verify_host(capsys, tmp_path):
         assert code == 0 and json.loads(out)["valid"] is valid
 
 
+NEIGHBORHOOD = ["experiment", "--mode", "neighborhood", "--pattern", "complete:3",
+                "--host", "complete:8", "--k", "2", "--p", "0.5"]
 VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
           "--seed", "{dir}/seed.el", "--trace", "{dir}/trace.json"]
 
@@ -227,12 +229,31 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
     (["count", "--host", "complete:4", "--pattern", "complete:3", "--out", "{dir}"], ""),
     (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
       "--trials", "2", "--out", "{dir}"], ""),
+    # flags that no branch of the chosen mode or method reads
+    (NEIGHBORHOOD + ["--n", "6"], ""),
+    (NEIGHBORHOOD + ["--pgrid", "0.5"], ""),
+    (NEIGHBORHOOD + ["--trials", "10"], ""),
+    (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
+      "--host", "complete:8"], ""),
+    (["experiment", "--mode", "stability", "--pattern", "complete:3", "--n", "5",
+      "--k", "2"], ""),
+    (["experiment", "--mode", "sandwich", "--pattern", "complete:3", "--n", "5",
+      "--p", "0.5"], ""),
+    (["construct", "--method", "complete", "--pattern", "complete:3", "--n", "7",
+      "--host", "nonsense:1"], ""),
+    (["construct", "--method", "random", "--pattern", "complete:3",
+      "--host", "complete:8", "--m", "2", "--n", "8"], ""),
+    (["construct", "--method", "random", "--pattern", "complete:3",
+      "--host", "complete:8", "--m", "2", "--core", "complete:2"], ""),
 ], ids=["bad-int", "bad-float", "zero-budget", "bad-pgrid", "experiment-n-zero",
         "negative-clique",
         "cap-zero", "nan-budget",
         "trace-not-json", "trace-missing-edge", "trace-not-list",
         "trace-str-witness", "trace-float-edge", "trace-bool-edge",
-        "out-missing-dir", "out-is-dir-count", "out-is-dir-experiment"])
+        "out-missing-dir", "out-is-dir-count", "out-is-dir-experiment",
+        "neighborhood-n", "neighborhood-pgrid", "neighborhood-trials",
+        "scan-host", "stability-k", "sandwich-p",
+        "complete-host", "random-n", "random-core"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, trace):
     (tmp_path / "seed.el").write_text("4 3\n0 1\n0 2\n0 3\n")
     (tmp_path / "trace.json").write_text(trace)
@@ -285,8 +306,8 @@ SUBCOMMANDS = {
     "construct": (["--method", "--pattern"],
                   ["--host", "--n", "--m", "--core", "--seed"]),
     "profile": (["--pattern", "--nmax"], ["--budget-nodes", "--budget-seconds"]),
-    "experiment": (["--mode", "--pattern", "--n"],
-                   ["--pgrid", "--trials", "--host", "--k", "--p", "--cap",
+    "experiment": (["--mode", "--pattern"],
+                   ["--n", "--pgrid", "--trials", "--host", "--k", "--p", "--cap",
                     "--budget-nodes", "--budget-seconds", "--seed"]),
     "count": (["--host", "--pattern"], ["--seed"]),
 }

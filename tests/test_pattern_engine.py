@@ -23,7 +23,7 @@ from wsat import (
     star,
 )
 from wsat.patterns import _iter_maps
-from conftest import random_host
+from conftest import random_host, small_hosts
 
 
 def test_normalize_strips_isolated_vertices():
@@ -220,3 +220,16 @@ def test_orbit_pruning_matches_all_anchor_loop(n, p, seed):
     for f in ORBIT_PATTERNS.values():
         for e in g.edges():
             assert copy_through_edge(g, f, e) == _copy_through_edge_all_anchors(g, f, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hosts(7), st.sampled_from(sorted(ORBIT_PATTERNS)))
+def test_matcher_contract_against_permutations(g, name):
+    # the matcher yields one live dict; snapshot each map as it is yielded
+    f = ORBIT_PATTERNS[name]
+    brute = sum(1 for p in permutations(range(g.n), f.s)
+                if all(p[b] in g.adj[p[a]] for a, b in f.graph.edge_set))
+    assert count_injective_maps(g, f) == brute
+    maps = [tuple(m[i] for i in range(f.s)) for m in _iter_maps(f.graph, f.order, g)]
+    assert len(set(maps)) == len(maps) == brute
+    assert all(CopyWitness(m).validates(g, f) for m in maps)

@@ -1,7 +1,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsat import (
@@ -25,8 +25,8 @@ from wsat import (
     wsat_exact,
 )
 from wsat.solver import _qualifies, _rank_bound
-from conftest import random_host
-from oracles import wsat_exact_naive
+from conftest import random_host, small_hosts
+from oracles import greedy_naive, wsat_exact_naive
 
 
 def test_lower_bound_examples(k3, k13):
@@ -157,6 +157,25 @@ def test_greedy_certificate_sound(k3, k13):
             assert h.m_edges == res.upper
             assert is_weakly_saturated(host, f, h)
             assert verify_trace(host, f, h, trace)
+
+
+GREEDY_PATTERNS = [normalize_pattern(p) for p in (
+    complete(3), cycle(4), star(3), path(4), matching(2),
+    Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]))]  # K3, C4, K_{1,3}, P4, 2K2, K3+K2
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hosts(7), st.sampled_from(GREEDY_PATTERNS), st.integers(0, 2**32))
+# two triangles joined by an edge, then two components; vertex 6 is isolated
+@example(Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (3, 5), (2, 4)]),
+         GREEDY_PATTERNS[0], 0)
+@example(Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (3, 5)]),
+         GREEDY_PATTERNS[5], 3)
+def test_greedy_matches_round_by_round_oracle(host, f, seed):
+    res, ref = greedy_upper_bound(host, f, seed), greedy_naive(host, f, seed)
+    assert res.as_dict() == ref.as_dict()
+    assert res.certificate[0].edges() == ref.certificate[0].edges()
+    assert res.certificate[1].to_json() == ref.certificate[1].to_json()
 
 
 def test_sandwich_lower_exact_greedy(k3, k13):
