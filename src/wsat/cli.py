@@ -87,7 +87,7 @@ def _write_out(path: str, text: str) -> None:
 
 def _unread(args, names: str, context: str) -> None:
     """Usage error for any flag in ``names`` given where ``context`` reads none."""
-    given = [f"--{x}" for x in names.split() if getattr(args, x) is not None]
+    given = [f"--{x.replace('_', '-')}" for x in names.split() if getattr(args, x) is not None]
     if given:
         raise ParameterError(f"{', '.join(given)} not used by {context}")
 
@@ -220,19 +220,21 @@ def cmd_experiment(args) -> int:
     seed = args.rng_seed
     f = parse_pattern_arg(args.pattern)
     if args.mode == "neighborhood":
-        _unread(args, "n pgrid trials", "--mode neighborhood")
+        _unread(args, "n pgrid trials budget_nodes budget_seconds", "--mode neighborhood")
         if args.host is None or args.k is None or args.p is None:
             raise ParameterError("neighborhood mode needs --host, --k and --p")
         host = parse_graph_arg(args.host, seed)
-        rep = neighborhood_property_check(host, f, args.k, args.p, args.cap, Seed(seed))
+        cap = 10000 if args.cap is None else args.cap
+        rep = neighborhood_property_check(host, f, args.k, args.p, cap, Seed(seed))
         _emit(rep, "neighborhood fractions: "
                    f"{rep['fraction_common_ge_floor']:.3f} common-size floor", args)
         return 0
-    _unread(args, "host k p", f"--mode {args.mode}")
+    _unread(args, "host k p cap", f"--mode {args.mode}")
     if args.n is None:
         raise ParameterError("--n is required")
     pgrid = [_number(float, x) for x in args.pgrid.split(",")] if args.pgrid else [0.5]
-    budget = SearchBudget(args.budget_nodes, args.budget_seconds)
+    budget = SearchBudget(10**8 if args.budget_nodes is None else args.budget_nodes,
+                          60.0 if args.budget_seconds is None else args.budget_seconds)
     cfg = ExperimentConfig(
         f=f, n=args.n, p_grid=pgrid, trials=10 if args.trials is None else args.trials,
         master_seed=seed, mode=args.mode, budget=budget,
@@ -335,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--host", help="host graph (neighborhood mode)")
     c.add_argument("--k", type=int, help="subset size (neighborhood mode)")
     c.add_argument("--p", type=float, help="probability used for the floor (neighborhood)")
-    c.add_argument("--cap", type=int, default=10000, help="subset sample cap")
-    c.add_argument("--budget-nodes", type=int, default=10**8)
-    c.add_argument("--budget-seconds", type=float, default=60.0)
+    c.add_argument("--cap", type=int, help="subset sample cap (neighborhood; default 10000)")
+    c.add_argument("--budget-nodes", type=int, help="default 10**8 (not neighborhood)")
+    c.add_argument("--budget-seconds", type=float, help="default 60 (not neighborhood)")
     c.set_defaults(func=cmd_experiment)
 
     c = sub.add_parser("count", parents=[common], help="count copies of F in G")

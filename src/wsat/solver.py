@@ -3,10 +3,13 @@
 wsat(G,F) is the minimum edge count of a spanning F-free subgraph H of G
 whose F-closure percolates to G.  The exact solver runs iterative deepening
 over k-edge spanning subgraphs (colexicographic subset order) with a degree
-filter; the greedy solver reverse-deletes edges lying in copies of F, which
-always leaves a weakly saturated graph.  Greedy counts the maps of F through
-each host edge once; a deletion subtracts the maps through the deleted edge,
-each sending exactly one oriented pattern edge onto it, so none twice.
+filter, from a matroid rank bound: a table of the rigidity matroids and the
+even-cycle matroid, in which a qualifying F gives wsat >= r(G), plus one when
+every F - e is dependent.  The greedy solver reverse-deletes edges lying in
+copies of F, which always leaves a weakly saturated graph.  Greedy counts the
+maps of F through each host edge once; a deletion subtracts the maps through
+the deleted edge, each sending exactly one oriented pattern edge onto it, so
+none twice.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 from .bootstrap import ActivationTrace, _Work, closure
 from .errors import InternalError, ParameterError, PreconditionError
@@ -72,22 +76,10 @@ def lower_bound_general(g: Graph, f: Pattern) -> int:
 _PRIME = 2**31 - 1
 
 
-def _rigidity_rank(n: int, edges, d: int) -> int:
-    """Rank of the d-dimensional rigidity matrix of a graph on n vertices,
-    by Gaussian elimination over GF(2^31 - 1) at fixed, seeded points.
-
-    Each minor is an integer polynomial in the coordinates, and one that is
-    nonzero mod p at some point is nonzero as a polynomial, so this rank is
-    never above the generic rank.
-    """
-    rng = random.Random(d)
-    x = [[rng.randrange(_PRIME) for _ in range(d)] for _ in range(n)]
+def _rank(rows) -> int:
+    """Rank over GF(2^31 - 1) of a sequence of rows, by Gaussian elimination."""
     basis: list[tuple[int, list[int]]] = []  # (pivot, row) with row[pivot] == 1
-    for u, v in edges:
-        row = [0] * (d * n)
-        for i in range(d):
-            row[d * u + i] = (x[u][i] - x[v][i]) % _PRIME
-            row[d * v + i] = (x[v][i] - x[u][i]) % _PRIME
+    for row in rows:
         for pivot, b in basis:
             c = row[pivot]
             if c:
@@ -99,27 +91,59 @@ def _rigidity_rank(n: int, edges, d: int) -> int:
     return len(basis)
 
 
-def _qualifies(f: Pattern, d: int) -> bool:
-    """True when F - e spans e in the generic d-dimensional rigidity matroid
-    for every edge e of F, certified by F - e reaching the rank of K_s
-    (d <= s - 2)."""
-    full = d * f.s - d * (d + 1) // 2
+def _rigidity_rows(d: int, n: int, edges) -> Iterator[list[int]]:
+    """Rows of the d-dimensional rigidity matrix at fixed, seeded points.  A
+    minor nonzero mod p at some point is a nonzero integer polynomial in the
+    coordinates, so their rank is never above the generic rank."""
+    rng = random.Random(d)
+    x = [[rng.randrange(_PRIME) for _ in range(d)] for _ in range(n)]
+    for u, v in edges:
+        row = [0] * (d * n)
+        for i in range(d):
+            row[d * u + i] = (x[u][i] - x[v][i]) % _PRIME
+            row[d * v + i] = (x[v][i] - x[u][i]) % _PRIME
+        yield row
+
+
+def _even_cycle_rows(n: int, edges) -> Iterator[list[int]]:
+    """Rows e_u + e_v of the even-cycle matroid; over GF(p), p odd, their rank
+    is exactly n - b(G), b(G) counting bipartite components."""
+    for u, v in edges:
+        row = [0] * n
+        row[u] = row[v] = 1
+        yield row
+
+
+def _qualifying(f: Pattern) -> dict[str, tuple[Callable, int]]:
+    """Name -> (row builder, +1 term) of each matroid in which F qualifies.
+
+    ``top`` bounds r(F) from above: the rank of K_s for the rigidity matroids
+    d = 1..s-2, r(F) itself for the exact even-cycle rank.  F qualifies when
+    every F - e reaches ``top``; a computed rank never exceeds the true one,
+    so then r(F - e) = r(F) = top and F - e spans e.  The +1 term is 1 when
+    t - 1 > top, which certifies that every F - e is dependent.
+    """
     edges = f.graph.edges()
-    return all(_rigidity_rank(f.s, [x for x in edges if x != e], d) >= full
-               for e in edges)
+    table = [(f"rigidity-{d}", partial(_rigidity_rows, d), d * f.s - d * (d + 1) // 2)
+             for d in range(1, f.s - 1)]
+    table.append(("even-cycle", _even_cycle_rows, _rank(_even_cycle_rows(f.s, edges))))
+    return {name: (rows, int(f.t - 1 > top)) for name, rows, top in table
+            if all(_rank(rows(f.s, [x for x in edges if x != e])) >= top for e in edges)}
 
 
 def _rank_bound(g: Graph, f: Pattern) -> int:
-    """Kalai's rigidity bound ("Weakly saturated graphs are rigid", 1984).
+    """Matroid lower bound on wsat(G,F) (Kalai, "Weakly saturated graphs are
+    rigid", 1984; Kronenberg-Martins-Morrison 2021), 0 if F never qualifies.
 
-    When F qualifies in dimension d, adding an edge that completes a copy of
-    F never raises the d-dimensional rigidity rank, so a weakly saturated H
-    spans G and wsat(G,F) >= rank_d(G).  d = 1 is the bound n - c(G).
-    Returns 0 when F qualifies in no dimension d = 1..s-2.
+    Where F qualifies, completing a copy of F never raises the rank, so a
+    weakly saturated H has r(H) = r(G).  With the +1 term, if G contains F
+    the first edge added has its F' - e, a dependent set, in H, so
+    |H| >= r(G) + 1.  An F-free host has wsat = |E(G)|, hence the cap.
     """
     edges = g.edges()
-    return max((_rigidity_rank(g.n, edges, d) for d in range(1, f.s - 1)
-                if _qualifies(f, d)), default=0)
+    bound = max((_rank(rows(g.n, edges)) + plus for rows, plus in _qualifying(f).values()),
+                default=0)
+    return min(g.m_edges, bound)
 
 
 def _colex_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -137,7 +161,7 @@ def wsat_exact(
 ) -> WsatResult:
     """Iterative-deepening exact solver.
 
-    Deepens k from the larger of the general lower bound and the rigidity
+    Deepens k from the larger of the general lower bound and the matroid
     rank bound (a solved result still reports the general bound as
     ``lower``); at each k, enumerates k-edge spanning subgraphs, discards any
     whose vertex degrees fall below min{d_G(v), delta(F)-1}, then tests

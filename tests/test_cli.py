@@ -233,6 +233,10 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
     (NEIGHBORHOOD + ["--n", "6"], ""),
     (NEIGHBORHOOD + ["--pgrid", "0.5"], ""),
     (NEIGHBORHOOD + ["--trials", "10"], ""),
+    (NEIGHBORHOOD + ["--budget-nodes", "5"], ""),
+    (NEIGHBORHOOD + ["--budget-seconds", "1"], ""),
+    (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
+      "--trials", "1", "--cap", "5"], ""),
     (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
       "--host", "complete:8"], ""),
     (["experiment", "--mode", "stability", "--pattern", "complete:3", "--n", "5",
@@ -252,6 +256,7 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
         "trace-str-witness", "trace-float-edge", "trace-bool-edge",
         "out-missing-dir", "out-is-dir-count", "out-is-dir-experiment",
         "neighborhood-n", "neighborhood-pgrid", "neighborhood-trials",
+        "neighborhood-budget-nodes", "neighborhood-budget-seconds", "scan-cap",
         "scan-host", "stability-k", "sandwich-p",
         "complete-host", "random-n", "random-core"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, trace):
@@ -340,7 +345,9 @@ def argvs(draw):
     for flag in flags:
         argv += [flag.replace("--seed-graph", "--seed"),
                  draw(st.sampled_from(FLAG_VALUES[flag]))]
-    if "--budget-seconds" in optional and "--budget-seconds" not in flags:
+    # a time limit wherever one is read; neighborhood mode reads none
+    if ("--budget-seconds" in optional and "--budget-seconds" not in flags
+            and "neighborhood" not in argv):
         argv += ["--budget-seconds", "2"]
     return argv + draw(st.sampled_from([[], ["--json"]]))
 

@@ -125,14 +125,15 @@ def test_greedy_certificates_pinned(name):
 # which are a first-found choice and deliberately left unpinned.  The three
 # ``solve`` pins were re-recorded when the search began at the rigidity rank
 # bound: only ``nodes`` moved (K6/K3 1366 -> 1, K6/C4 4369 -> 3004, the
-# G(7,0.6) solve 1297 -> 10).
+# G(7,0.6) solve 1297 -> 10).  K6/C4 was re-recorded again when the even-cycle
+# matroid joined that bound: only ``nodes`` moved, 3004 -> 1.
 CLI_PINS = {
     "solve-K6-K3": (
         ["solve", "--host", "complete:6", "--pattern", "complete:3"],
         "a44510494536e0c708f1f8e137a5df9d1c0e423287067aafb60859d6cacfe9fd"),
     "solve-K6-C4": (
         ["solve", "--host", "complete:6", "--pattern", "cycle:4"],
-        "f120d0a17487442fe53036e4afac64a576bf35ace92631290c3375f7dd41aa46"),
+        "8781f0a3e9080d930eaf6e7f8c05cf739ab2c8780feae1ee84a5329a2e78b770"),
     "solve-gnp-greedy": (
         ["solve", "--host", "gnp:7,0.6", "--pattern", "complete:3", "--seed", "3",
          "--greedy-repeats", "3"],

@@ -5,10 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsat import (
+    FormulaQuery,
     Graph,
     PreconditionError,
     SearchBudget,
     Seed,
+    closed_form_wsat,
     complete,
     complete_bipartite,
     count_copies,
@@ -24,7 +26,7 @@ from wsat import (
     verify_trace,
     wsat_exact,
 )
-from wsat.solver import _qualifies, _rank_bound
+from wsat.solver import _qualifying, _rank_bound
 from conftest import random_host, small_hosts
 from oracles import greedy_naive, wsat_exact_naive
 
@@ -78,22 +80,29 @@ def test_oracle_equivalence_small_complete_hosts(k3, k4, k13, p3):
             assert wsat_exact(host, f).exact == wsat_exact_naive(host, f), (n, f.s, f.t)
 
 
-def test_budget_exhaustion_flags_partial(k23):
-    # the rank bound (5) sits below the general bound (6) here, so the search
-    # still has to walk level 6 and runs out of nodes there
-    res = wsat_exact(complete(6), k23, SearchBudget(max_nodes=5, max_seconds=60))
+def test_budget_exhaustion_flags_partial():
+    # the general and the even-cycle bound both start K6/K_{2,4} at 7, and
+    # wsat is 11, so the search walks level 7 and runs out of nodes there
+    k24 = normalize_pattern(complete_bipartite(2, 4))
+    res = wsat_exact(complete(6), k24, SearchBudget(max_nodes=5, max_seconds=60))
     assert res.budget_exceeded
     assert res.exact is None
-    assert res.lower == 6 and res.upper == complete(6).m_edges
+    assert res.lower == 7 and res.upper == complete(6).m_edges
 
 
+# theta(1,2,3), three paths of lengths 1, 2 and 3 between two vertices,
+# qualifies in the graphic matroid but not the even-cycle one, so its bound is
+# the rigidity-1 rank plus one
+THETA = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 4)])
 BOUND_PATTERNS = [normalize_pattern(g) for g in (
     complete(3), complete(4), cycle(4), complete_bipartite(2, 3), path(4), star(3),
-    matching(2), Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]))]
+    matching(2), Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]), THETA)]
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(3, 6), st.floats(0.2, 1.0), st.integers(0, 2**32), st.booleans())
+@example(5, 1.0, 0, False)  # K5, where the +1 terms make the bound tight
+@example(5, 1.0, 0, True)  # K4 plus an isolated vertex
 def test_rank_bound_below_naive(n, p, seed, isolate):
     g = sample_gnp(n, p, Seed(seed))
     if isolate:  # vertex 0 isolated: a disconnected host
@@ -120,14 +129,35 @@ def test_rank_bound_closes_clique_searches(k3, k4):
 
 def test_rank_bound_qualification():
     for pattern in (path(3), path(5), star(2), star(4), matching(2), matching(3)):
-        f = normalize_pattern(pattern)
-        assert not any(_qualifies(f, d) for d in range(1, f.s - 1))
+        assert not _qualifying(normalize_pattern(pattern))
     for s in (3, 4, 5):
-        f = normalize_pattern(complete(s))
-        assert all(_qualifies(f, d) for d in range(1, s - 1))
+        q = _qualifying(normalize_pattern(complete(s)))
+        assert {f"rigidity-{d}" for d in range(1, s - 1)} <= set(q)
     for pattern in (cycle(4), complete_bipartite(2, 3)):
+        q = _qualifying(normalize_pattern(pattern))
+        assert sorted(q) == ["even-cycle", "rigidity-1"]
+    q = _qualifying(normalize_pattern(THETA))
+    assert {name: term for name, (_, term) in q.items()} == {"rigidity-1": 1}
+    # even-cycle matroid: name -> +1 term (1 when every F - e is dependent)
+    k3_k2 = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    for pattern, term in ((cycle(4), 0), (cycle(6), 0), (complete(4), 1), (complete(5), 1),
+                          (complete_bipartite(2, 3), 1), (complete_bipartite(2, 4), 1),
+                          (complete_bipartite(3, 3), 1), (complete(3), None), (cycle(5), None),
+                          (path(4), None), (star(3), None), (matching(2), None), (k3_k2, None)):
+        q = _qualifying(normalize_pattern(pattern))
+        assert (q["even-cycle"][1] if "even-cycle" in q else None) == term, pattern
+
+
+def test_start_bound_closes_bipartite_searches():
+    # the even-cycle bound is n on K_n for C4 and n + 1 for K_{2,3}: wsat itself
+    for pattern, family, t, sizes in ((cycle(4), "ktt", 2, range(5, 10)),
+                                      (complete_bipartite(2, 3), "k2t", 3, range(5, 8))):
         f = normalize_pattern(pattern)
-        assert [d for d in range(1, f.s - 1) if _qualifies(f, d)] == [1]
+        for n in sizes:
+            g = complete(n)
+            want = closed_form_wsat(FormulaQuery(family, n, t=t))
+            assert max(lower_bound_general(g, f), _rank_bound(g, f)) == want, (n, t)
+            assert wsat_exact(g, f).exact == want, (n, t)
 
 
 def test_greedy_examples(k3):
