@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each job has its own parser, which takes exactly the flags its handler reads:
+``wsat experiment {stability,sandwich,scan,neighborhood}`` and
+``wsat construct {complete,random}`` are nested subcommands.
+
 Graph arguments accept either a ``family:params`` shorthand (``complete:5``,
 ``cbip:2,3``, ``star:3``, ``path:4``, ``cycle:6``, ``empty:4``,
 ``matching:3``, ``gnp:20,0.5``) or a path to an edge-list file
@@ -7,13 +11,15 @@ Graph arguments accept either a ``family:params`` shorthand (``complete:5``,
 
 Output: JSON payload on stdout (keys sorted), a one-line human summary on
 stderr.  Exit codes: 0 success, 1 domain error (structure absent, failed
-verification, out-of-range formula), 2 usage error (bad flags, unreadable
-input or unwritable ``--out`` files, malformed graphs or traces).
+verification, out-of-range formula), 2 usage error (bad flags, a flag the
+(sub)command does not take, unreadable input or unwritable ``--out`` files,
+malformed graphs or traces).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -85,13 +91,6 @@ def _write_out(path: str, text: str) -> None:
         raise ParameterError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _unread(args, names: str, context: str) -> None:
-    """Usage error for any flag in ``names`` given where ``context`` reads none."""
-    given = [f"--{x.replace('_', '-')}" for x in names.split() if getattr(args, x) is not None]
-    if given:
-        raise ParameterError(f"{', '.join(given)} not used by {context}")
-
-
 def _emit(payload: dict, summary: str, args) -> None:
     text = json.dumps(payload, sort_keys=True)
     if args.out:  # before stdout, so a failed write prints no payload
@@ -140,14 +139,13 @@ def cmd_solve(args) -> int:
     host = parse_graph_arg(args.host, seed)
     f = parse_pattern_arg(args.pattern)
     budget = SearchBudget(args.budget_nodes, args.budget_seconds)
+    if args.greedy_repeats < 0:
+        raise ParameterError("--greedy-repeats must be at least 0")
     res = wsat_exact(host, f, budget)
     payload = res.as_dict()
     if args.greedy_repeats > 0:
-        best = None
-        for r in range(args.greedy_repeats):
-            g = greedy_upper_bound(host, f, Seed(seed, r))
-            if best is None or g.upper < best.upper:
-                best = g
+        best = min((greedy_upper_bound(host, f, Seed(seed, r)) for r in range(args.greedy_repeats)),
+                   key=lambda g: g.upper)  # the first of the smallest
         payload["greedy_upper"] = best.upper
         if res.exact is None and best.upper < payload["upper"]:
             payload["upper"] = best.upper
@@ -173,20 +171,13 @@ def cmd_construct(args) -> int:
     seed = args.rng_seed
     f = parse_pattern_arg(args.pattern)
     if args.method == "complete":
-        _unread(args, "host", "--method complete")
-        if args.n is None:
-            raise ParameterError("--n is required for --method complete")
         m = args.m if args.m is not None else max(f.delta - 1, 1)
         if args.core:
-            core = parse_graph_arg(args.core)
+            core = parse_graph_arg(args.core, seed)
         else:
-            core_res = greedy_upper_bound(complete(m), f, Seed(seed))
-            core = core_res.certificate[0]
+            core = greedy_upper_bound(complete(m), f, Seed(seed)).certificate[0]
         h = construct_complete_host_saturator(args.n, f, m, core)
     else:
-        _unread(args, "n core", "--method random")
-        if args.host is None or args.m is None:
-            raise ParameterError("--host and --m are required for --method random")
         host = parse_graph_arg(args.host, seed)
         h = construct_random_host_saturator(host, f, args.m, Seed(seed))
     payload = {
@@ -219,26 +210,11 @@ def cmd_profile(args) -> int:
 def cmd_experiment(args) -> int:
     seed = args.rng_seed
     f = parse_pattern_arg(args.pattern)
-    if args.mode == "neighborhood":
-        _unread(args, "n pgrid trials budget_nodes budget_seconds", "--mode neighborhood")
-        if args.host is None or args.k is None or args.p is None:
-            raise ParameterError("neighborhood mode needs --host, --k and --p")
-        host = parse_graph_arg(args.host, seed)
-        cap = 10000 if args.cap is None else args.cap
-        rep = neighborhood_property_check(host, f, args.k, args.p, cap, Seed(seed))
-        _emit(rep, "neighborhood fractions: "
-                   f"{rep['fraction_common_ge_floor']:.3f} common-size floor", args)
-        return 0
-    _unread(args, "host k p cap", f"--mode {args.mode}")
-    if args.n is None:
-        raise ParameterError("--n is required")
-    pgrid = [_number(float, x) for x in args.pgrid.split(",")] if args.pgrid else [0.5]
-    budget = SearchBudget(10**8 if args.budget_nodes is None else args.budget_nodes,
-                          60.0 if args.budget_seconds is None else args.budget_seconds)
-    cfg = ExperimentConfig(
-        f=f, n=args.n, p_grid=pgrid, trials=10 if args.trials is None else args.trials,
-        master_seed=seed, mode=args.mode, budget=budget,
-    )
+    pgrid = [_number(float, x) for x in args.pgrid.split(",")]
+    # scan only tests containment, so it takes no budget
+    budget = None if args.mode == "scan" else SearchBudget(args.budget_nodes, args.budget_seconds)
+    cfg = ExperimentConfig(f=f, n=args.n, p_grid=pgrid, trials=args.trials,
+                           master_seed=seed, mode=args.mode, budget=budget)
     report = run_experiment(cfg)
     if args.out:
         _write_out(args.out, report.to_csv())
@@ -246,6 +222,15 @@ def cmd_experiment(args) -> int:
     if not args.json:
         print(f"{args.mode}: {len(report.records)} trials over "
               f"{len(pgrid)} p-values", file=sys.stderr)
+    return 0
+
+
+def cmd_neighborhood(args) -> int:
+    f = parse_pattern_arg(args.pattern)
+    host = parse_graph_arg(args.host, args.rng_seed)
+    rep = neighborhood_property_check(host, f, args.k, args.p, args.cap, Seed(args.rng_seed))
+    _emit(rep, "neighborhood fractions: "
+               f"{rep['fraction_common_ge_floor']:.3f} common-size floor", args)
     return 0
 
 
@@ -260,6 +245,7 @@ def cmd_count(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache  # main() may run many times in one process
 def build_parser() -> argparse.ArgumentParser:
     graphless = argparse.ArgumentParser(add_help=False)
     graphless.add_argument("--json", action="store_true",
@@ -267,37 +253,42 @@ def build_parser() -> argparse.ArgumentParser:
     graphless.add_argument("--out", metavar="FILE",
                            help="also write the payload (CSV for experiments) to FILE")
 
-    common = argparse.ArgumentParser(add_help=False, parents=[graphless])
+    patterned = argparse.ArgumentParser(add_help=False, parents=[graphless])
+    patterned.add_argument("--pattern", required=True)
+    common = argparse.ArgumentParser(add_help=False, parents=[patterned])
     common.add_argument("--seed", dest="rng_seed", type=int, default=0,
                         help="master RNG seed (drives every randomized choice)")
 
-    p = argparse.ArgumentParser(prog="wsat", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    def budget_flags(seconds: float) -> argparse.ArgumentParser:
+        # one parent per default time limit: set_defaults on a child would
+        # rewrite the default of the action its siblings share
+        budget = argparse.ArgumentParser(add_help=False)
+        budget.add_argument("--budget-nodes", type=int, default=10**8)
+        budget.add_argument("--budget-seconds", type=float, default=seconds)
+        return budget
+
+    budget = budget_flags(60.0)
+
+    # no abbreviated flags: each parser takes its own flags, spelled out
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    p = strict(prog="wsat", description=__doc__,
+               formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=strict)
 
-    c = sub.add_parser("closure", parents=[graphless],
-                       help="F-bootstrap closure of a seed graph inside a host")
-    c.add_argument("--host", required=True)
-    c.add_argument("--pattern", required=True)
-    c.add_argument("--seed", required=True, help="initial spanning subgraph")
-    c.add_argument("--rng-seed", type=int, default=0, help="RNG seed for gnp: graphs")
-    c.set_defaults(func=cmd_closure)
-
-    c = sub.add_parser("verify", parents=[graphless],
-                       help="replay and check an activation trace")
-    c.add_argument("--host", required=True)
-    c.add_argument("--pattern", required=True)
-    c.add_argument("--seed", required=True, help="initial spanning subgraph")
-    c.add_argument("--rng-seed", type=int, default=0, help="RNG seed for gnp: graphs")
+    seed_graph = argparse.ArgumentParser(add_help=False, parents=[patterned])
+    seed_graph.add_argument("--host", required=True)
+    seed_graph.add_argument("--seed", required=True, help="initial spanning subgraph")
+    seed_graph.add_argument("--rng-seed", type=int, default=0, help="RNG seed for gnp: graphs")
+    sub.add_parser("closure", parents=[seed_graph],
+                   help="F-bootstrap closure of a seed graph inside a host"
+                   ).set_defaults(func=cmd_closure)
+    c = sub.add_parser("verify", parents=[seed_graph], help="replay and check an activation trace")
     c.add_argument("--trace", required=True, help="trace JSON file")
     c.set_defaults(func=cmd_verify)
 
-    c = sub.add_parser("solve", parents=[common], help="compute wsat(G,F)")
+    c = sub.add_parser("solve", parents=[common, budget], help="compute wsat(G,F)")
     c.add_argument("--host", required=True)
-    c.add_argument("--pattern", required=True)
-    c.add_argument("--budget-nodes", type=int, default=10**8)
-    c.add_argument("--budget-seconds", type=float, default=60.0)
     c.add_argument("--greedy-repeats", type=int, default=0)
     c.set_defaults(func=cmd_solve)
 
@@ -308,51 +299,56 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--t", type=int)
     c.set_defaults(func=cmd_formula)
 
-    c = sub.add_parser("construct", parents=[common],
-                       help="build and verify an explicit saturator")
-    c.add_argument("--method", required=True, choices=["complete", "random"])
-    c.add_argument("--pattern", required=True)
-    c.add_argument("--host", help="host graph (random method)")
-    c.add_argument("--n", type=int, help="host size (complete method)")
-    c.add_argument("--m", type=int, help="clique/core size")
-    c.add_argument("--core", help="core graph (complete method; default greedy)")
+    methods = sub.add_parser("construct", help="build and verify an explicit saturator"
+                             ).add_subparsers(dest="method", required=True, parser_class=strict)
+    c = methods.add_parser("complete", parents=[common],
+                           help="core-plus-fringe saturator of K_n")
+    c.add_argument("--n", type=int, required=True, help="host size")
+    c.add_argument("--m", type=int, help="core size (default max(delta(F) - 1, 1))")
+    c.add_argument("--core", help="core graph on --m vertices (default greedy)")
+    c.set_defaults(func=cmd_construct)
+    c = methods.add_parser("random", parents=[common],
+                           help="clique-anchored saturator of a host graph")
+    c.add_argument("--host", required=True)
+    c.add_argument("--m", type=int, required=True, help="clique size")
     c.set_defaults(func=cmd_construct)
 
-    c = sub.add_parser("profile", parents=[graphless],
+    c = sub.add_parser("profile", parents=[patterned, budget_flags(300.0)],
                        help="stability profile phi(n) up to --nmax")
-    c.add_argument("--pattern", required=True)
     c.add_argument("--nmax", type=int, required=True)
-    c.add_argument("--budget-nodes", type=int, default=10**8)
-    c.add_argument("--budget-seconds", type=float, default=300.0)
     c.set_defaults(func=cmd_profile)
 
-    c = sub.add_parser("experiment", parents=[common],
-                       help="seeded random-graph experiments")
-    c.add_argument("--mode", required=True,
-                   choices=["stability", "sandwich", "neighborhood", "scan"])
-    c.add_argument("--pattern", required=True)
-    c.add_argument("--n", type=int)
-    c.add_argument("--pgrid", help="comma-separated increasing probabilities")
-    c.add_argument("--trials", type=int, help="trials per p (default 10)")
-    c.add_argument("--host", help="host graph (neighborhood mode)")
-    c.add_argument("--k", type=int, help="subset size (neighborhood mode)")
-    c.add_argument("--p", type=float, help="probability used for the floor (neighborhood)")
-    c.add_argument("--cap", type=int, help="subset sample cap (neighborhood; default 10000)")
-    c.add_argument("--budget-nodes", type=int, help="default 10**8 (not neighborhood)")
-    c.add_argument("--budget-seconds", type=float, help="default 60 (not neighborhood)")
-    c.set_defaults(func=cmd_experiment)
+    modes = sub.add_parser("experiment", help="seeded random-graph experiments"
+                           ).add_subparsers(dest="mode", required=True, parser_class=strict)
+    for mode, parents, what in (
+        ("stability", [common, budget], "does wsat(G(n,p), F) equal wsat(K_n, F)?"),
+        ("sandwich", [common, budget], "|E| - X_F <= wsat(G(n,p), F) <= |E|"),
+        ("scan", [common], "how often G(n,p) contains F"),
+    ):
+        c = modes.add_parser(mode, parents=parents, help=what)
+        c.add_argument("--n", type=int, required=True)
+        c.add_argument("--pgrid", default="0.5",
+                       help="comma-separated increasing probabilities (default %(default)s)")
+        c.add_argument("--trials", type=int, default=10, help="trials per p (default %(default)s)")
+        c.set_defaults(func=cmd_experiment)
+    c = modes.add_parser("neighborhood", parents=[common],
+                         help="common neighbourhoods of k-subsets of a host")
+    c.add_argument("--host", required=True)
+    c.add_argument("--k", type=int, required=True, help="subset size")
+    c.add_argument("--p", type=float, required=True, help="probability used for the floor")
+    c.add_argument("--cap", type=int, default=10000,
+                   help="subset sample cap (default %(default)s)")
+    c.set_defaults(func=cmd_neighborhood)
 
     c = sub.add_parser("count", parents=[common], help="count copies of F in G")
     c.add_argument("--host", required=True)
-    c.add_argument("--pattern", required=True)
     c.set_defaults(func=cmd_count)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

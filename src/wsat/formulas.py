@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 from .bootstrap import closure, is_weakly_saturated
 from .errors import (
@@ -34,6 +33,10 @@ class FormulaQuery:
     t: int | None = None
 
 
+# the parameters each family takes; a query must give exactly these
+_PARAMETERS = {"ks": ("s",), "ktt": ("t",), "kst": ("s", "t"), "k2t": ("t",), "k1t": ("t",)}
+
+
 def closed_form_wsat(q: FormulaQuery) -> int | tuple[int, int]:
     """Evaluate the known closed forms.
 
@@ -45,30 +48,33 @@ def closed_form_wsat(q: FormulaQuery) -> int | tuple[int, int]:
          for t >= 3 and n >= t+2
     k1t: wsat(n, K_{1,t}) = C(t,2)                   for n >= t+1
     """
-    fam, n = q.family, q.n
+    fam, n, s, t = q.family, q.n, q.s, q.t
+    if fam not in _PARAMETERS:
+        raise ParameterError(f"unknown formula family {fam!r}")
+    for name, value in (("s", s), ("t", t)):
+        if value is None and name in _PARAMETERS[fam]:
+            raise ParameterError(f"formula query missing parameter {name!r}")
+        if value is not None and name not in _PARAMETERS[fam]:
+            raise ParameterError(f"{fam} takes no parameter {name!r}")
     if fam == "ks":
-        s = _req(q.s, "s")
         if s < 2:
             raise RangeError("ks requires s >= 2")
         if n < s:
             raise RangeError(f"ks requires n >= s (got n={n} < s={s})")
         return (s - 2) * n - comb(s - 1, 2)
     if fam == "ktt":
-        t = _req(q.t, "t")
         if t < 1:
             raise RangeError("ktt requires t >= 1")
         if n < 3 * t - 3:
             raise RangeError(f"ktt requires n >= 3t-3 (got n={n} < {3*t-3})")
         return (t - 1) * n - comb(t - 1, 2)
     if fam == "kst":
-        s, t = _req(q.s, "s"), _req(q.t, "t")
         if not t > s >= 1:
             raise RangeError("kst requires t > s >= 1")
         if n < s + t:
             raise RangeError(f"kst requires n >= s+t (got n={n} < {s+t})")
         return ((s - 1) * (n - t + 1) + comb(t, 2), (s - 1) * (n - s) + comb(t, 2))
     if fam == "k2t":
-        t = _req(q.t, "t")
         if t < 3:
             raise RangeError("k2t requires t >= 3")
         if n < t + 2:
@@ -76,20 +82,12 @@ def closed_form_wsat(q: FormulaQuery) -> int | tuple[int, int]:
         if t % 2 == 0 and n <= 2 * t - 2:
             return n - 1 + comb(t, 2)
         return n - 2 + comb(t, 2)
-    if fam == "k1t":
-        t = _req(q.t, "t")
-        if t < 1:
-            raise RangeError("k1t requires t >= 1")
-        if n < t + 1:
-            raise RangeError(f"k1t requires n >= t+1 (got n={n} < {t+1})")
-        return comb(t, 2)
-    raise ParameterError(f"unknown formula family {q.family!r}")
-
-
-def _req(value: Optional[int], name: str) -> int:
-    if value is None:
-        raise ParameterError(f"formula query missing parameter {name!r}")
-    return value
+    # k1t
+    if t < 1:
+        raise RangeError("k1t requires t >= 1")
+    if n < t + 1:
+        raise RangeError(f"k1t requires n >= t+1 (got n={n} < {t+1})")
+    return comb(t, 2)
 
 
 def generic_upper_bounds(

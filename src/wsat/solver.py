@@ -18,7 +18,8 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from types import MappingProxyType
 from typing import Callable, Iterator, Optional
 
 from .bootstrap import ActivationTrace, _Work, closure
@@ -114,8 +115,10 @@ def _even_cycle_rows(n: int, edges) -> Iterator[list[int]]:
         yield row
 
 
-def _qualifying(f: Pattern) -> dict[str, tuple[Callable, int]]:
-    """Name -> (row builder, +1 term) of each matroid in which F qualifies.
+@cache
+def _qualifying(f: Pattern) -> MappingProxyType[str, tuple[Callable, int]]:
+    """Name -> (row builder, +1 term) of each matroid in which F qualifies,
+    worked out once per pattern and shared read-only by every solve.
 
     ``top`` bounds r(F) from above: the rank of K_s for the rigidity matroids
     d = 1..s-2, r(F) itself for the exact even-cycle rank.  F qualifies when
@@ -127,8 +130,9 @@ def _qualifying(f: Pattern) -> dict[str, tuple[Callable, int]]:
     table = [(f"rigidity-{d}", partial(_rigidity_rows, d), d * f.s - d * (d + 1) // 2)
              for d in range(1, f.s - 1)]
     table.append(("even-cycle", _even_cycle_rows, _rank(_even_cycle_rows(f.s, edges))))
-    return {name: (rows, int(f.t - 1 > top)) for name, rows, top in table
-            if all(_rank(rows(f.s, [x for x in edges if x != e])) >= top for e in edges)}
+    return MappingProxyType({name: (rows, int(f.t - 1 > top)) for name, rows, top in table
+                             if all(_rank(rows(f.s, [x for x in edges if x != e])) >= top
+                                    for e in edges)})
 
 
 def _rank_bound(g: Graph, f: Pattern) -> int:

@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsat import ParameterError, Seed, complete, encode_edge_list, sample_gnp, star
@@ -104,19 +104,24 @@ def test_closure_and_verify_commands(capsys, tmp_path):
 
 
 def test_construct_command(capsys):
-    code, out, _ = run(capsys, "construct", "--method", "complete",
+    code, out, _ = run(capsys, "construct", "complete",
                        "--pattern", "complete:3", "--n", "7", "--json")
     doc = json.loads(out)
     assert code == 0 and doc["edges"] == 6 and doc["verified"]
 
-    code, out, _ = run(capsys, "construct", "--method", "random",
+    code, out, _ = run(capsys, "construct", "random",
                        "--pattern", "complete:3", "--host", "complete:8",
                        "--m", "2", "--json")
     assert code == 0 and json.loads(out)["edges"] == 7
 
+    # --seed also samples a gnp: core; with seed 3 G(4, 0.6) is a spanning tree
+    code, out, _ = run(capsys, "construct", "complete", "--pattern", "complete:3",
+                       "--n", "6", "--m", "4", "--core", "gnp:4,0.6", "--seed", "3", "--json")
+    assert code == 0 and json.loads(out)["edges"] == 5
+
 
 def test_construct_structure_absent_exits_1(capsys):
-    code, _, err = run(capsys, "construct", "--method", "random",
+    code, _, err = run(capsys, "construct", "random",
                        "--pattern", "complete:3", "--host", "path:6",
                        "--m", "3")
     assert code == 1 and "error" in err
@@ -138,7 +143,7 @@ def test_profile_command(capsys):
 
 def test_experiment_command_and_csv(capsys, tmp_path):
     csv_path = tmp_path / "report.csv"
-    argv = ["experiment", "--mode", "scan", "--pattern", "complete:3",
+    argv = ["experiment", "scan", "--pattern", "complete:3",
             "--n", "8", "--pgrid", "0.1,0.9", "--trials", "5",
             "--seed", "17", "--json", "--out", str(csv_path)]
     code, out1, _ = run(capsys, *argv)
@@ -151,7 +156,7 @@ def test_experiment_command_and_csv(capsys, tmp_path):
 
 
 def test_experiment_neighborhood_mode(capsys):
-    code, out, _ = run(capsys, "experiment", "--mode", "neighborhood",
+    code, out, _ = run(capsys, "experiment", "neighborhood",
                        "--pattern", "complete:3", "--host", "complete:8",
                        "--k", "2", "--p", "0.5", "--json")
     doc = json.loads(out)
@@ -198,78 +203,88 @@ def test_rng_seed_picks_closure_and_verify_host(capsys, tmp_path):
         assert code == 0 and json.loads(out)["valid"] is valid
 
 
-NEIGHBORHOOD = ["experiment", "--mode", "neighborhood", "--pattern", "complete:3",
+NEIGHBORHOOD = ["experiment", "neighborhood", "--pattern", "complete:3",
                 "--host", "complete:8", "--k", "2", "--p", "0.5"]
+SCAN = ["experiment", "scan", "--pattern", "complete:3", "--n", "5"]
 VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
           "--seed", "{dir}/seed.el", "--trace", "{dir}/trace.json"]
 
 
-@pytest.mark.parametrize("argv,trace", [
-    (["solve", "--host", "complete:x", "--pattern", "complete:3"], ""),
-    (["count", "--host", "gnp:5,x", "--pattern", "complete:3"], ""),
+# (argv, trace file text, whether argparse rejects argv as naming a flag its
+# (sub)command does not take); otherwise the handler returns 2
+@pytest.mark.parametrize("argv,trace,unknown_flag", [
+    (["solve", "--host", "complete:x", "--pattern", "complete:3"], "", False),
+    (["count", "--host", "gnp:5,x", "--pattern", "complete:3"], "", False),
     (["solve", "--host", "complete:4", "--pattern", "complete:3",
-      "--budget-nodes", "0"], ""),
-    (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
-      "--pgrid", "0.3,x"], ""),
-    (["experiment", "--mode", "sandwich", "--pattern", "complete:3", "--n", "0"], ""),
-    (["construct", "--method", "random", "--pattern", "complete:3",
-      "--host", "complete:17", "--m", "-1"], ""),
-    (["experiment", "--mode", "neighborhood", "--pattern", "complete:3",
-      "--host", "complete:8", "--k", "2", "--p", "0.5", "--cap", "0"], ""),
+      "--budget-nodes", "0"], "", False),
+    (SCAN + ["--pgrid", "0.3,x"], "", False),
+    (["experiment", "sandwich", "--pattern", "complete:3", "--n", "0"], "", False),
+    (["construct", "random", "--pattern", "complete:3",
+      "--host", "complete:17", "--m", "-1"], "", False),
+    (NEIGHBORHOOD + ["--cap", "0"], "", False),
     (["solve", "--host", "complete:4", "--pattern", "complete:3",
-      "--budget-seconds", "nan"], ""),
-    (VERIFY, "not json"),
-    (VERIFY, '[{"edg": [0, 1]}]'),
-    (VERIFY, '{"edge": 1}'),
-    (VERIFY, '[{"edge": [0, 1], "witness": ["a", "b", "c"]}]'),
-    (VERIFY, '[{"edge": [0, 2.5], "witness": [0, 1, 2]}]'),
-    (VERIFY, '[{"edge": [true, 2], "witness": [0, 1, 2]}]'),
+      "--budget-seconds", "nan"], "", False),
     (["solve", "--host", "complete:4", "--pattern", "complete:3",
-      "--out", "{dir}/missing/x.json"], ""),
-    (["count", "--host", "complete:4", "--pattern", "complete:3", "--out", "{dir}"], ""),
-    (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
-      "--trials", "2", "--out", "{dir}"], ""),
-    # flags that no branch of the chosen mode or method reads
-    (NEIGHBORHOOD + ["--n", "6"], ""),
-    (NEIGHBORHOOD + ["--pgrid", "0.5"], ""),
-    (NEIGHBORHOOD + ["--trials", "10"], ""),
-    (NEIGHBORHOOD + ["--budget-nodes", "5"], ""),
-    (NEIGHBORHOOD + ["--budget-seconds", "1"], ""),
-    (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
-      "--trials", "1", "--cap", "5"], ""),
-    (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5",
-      "--host", "complete:8"], ""),
-    (["experiment", "--mode", "stability", "--pattern", "complete:3", "--n", "5",
-      "--k", "2"], ""),
-    (["experiment", "--mode", "sandwich", "--pattern", "complete:3", "--n", "5",
-      "--p", "0.5"], ""),
-    (["construct", "--method", "complete", "--pattern", "complete:3", "--n", "7",
-      "--host", "nonsense:1"], ""),
-    (["construct", "--method", "random", "--pattern", "complete:3",
-      "--host", "complete:8", "--m", "2", "--n", "8"], ""),
-    (["construct", "--method", "random", "--pattern", "complete:3",
-      "--host", "complete:8", "--m", "2", "--core", "complete:2"], ""),
+      "--greedy-repeats", "-3"], "", False),
+    (["formula", "--family", "ks", "--n", "5", "--s", "3", "--t", "9"], "", False),
+    (VERIFY, "not json", False),
+    (VERIFY, '[{"edg": [0, 1]}]', False),
+    (VERIFY, '{"edge": 1}', False),
+    (VERIFY, '[{"edge": [0, 1], "witness": ["a", "b", "c"]}]', False),
+    (VERIFY, '[{"edge": [0, 2.5], "witness": [0, 1, 2]}]', False),
+    (VERIFY, '[{"edge": [true, 2], "witness": [0, 1, 2]}]', False),
+    (["solve", "--host", "complete:4", "--pattern", "complete:3",
+      "--out", "{dir}/missing/x.json"], "", False),
+    (["count", "--host", "complete:4", "--pattern", "complete:3", "--out", "{dir}"], "", False),
+    (SCAN + ["--trials", "2", "--out", "{dir}"], "", False),
+    # flags that the chosen mode or method does not take
+    (NEIGHBORHOOD + ["--n", "6"], "", True),
+    (NEIGHBORHOOD + ["--pgrid", "0.5"], "", True),
+    (NEIGHBORHOOD + ["--trials", "10"], "", True),
+    (NEIGHBORHOOD + ["--budget-nodes", "5"], "", True),
+    (NEIGHBORHOOD + ["--budget-seconds", "1"], "", True),
+    (SCAN + ["--trials", "1", "--cap", "5"], "", True),
+    (SCAN + ["--host", "complete:8"], "", True),
+    (SCAN + ["--trials", "1", "--budget-nodes", "5", "--budget-seconds", "0.001"], "", True),
+    (["experiment", "stability", "--pattern", "complete:3", "--n", "5", "--k", "2"], "", True),
+    (["experiment", "sandwich", "--pattern", "complete:3", "--n", "5", "--p", "0.5"], "", True),
+    (["construct", "complete", "--pattern", "complete:3", "--n", "7",
+      "--host", "nonsense:1"], "", True),
+    (["construct", "random", "--pattern", "complete:3",
+      "--host", "complete:8", "--m", "2", "--n", "8"], "", True),
+    (["construct", "random", "--pattern", "complete:3",
+      "--host", "complete:8", "--m", "2", "--core", "complete:2"], "", True),
+    # the mode and method are subcommands, not flags
+    (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5"], "", True),
+    (["construct", "--method", "complete", "--pattern", "complete:3", "--n", "7"], "", True),
 ], ids=["bad-int", "bad-float", "zero-budget", "bad-pgrid", "experiment-n-zero",
         "negative-clique",
-        "cap-zero", "nan-budget",
+        "cap-zero", "nan-budget", "negative-greedy-repeats", "formula-unused-t",
         "trace-not-json", "trace-missing-edge", "trace-not-list",
         "trace-str-witness", "trace-float-edge", "trace-bool-edge",
         "out-missing-dir", "out-is-dir-count", "out-is-dir-experiment",
         "neighborhood-n", "neighborhood-pgrid", "neighborhood-trials",
         "neighborhood-budget-nodes", "neighborhood-budget-seconds", "scan-cap",
-        "scan-host", "stability-k", "sandwich-p",
-        "complete-host", "random-n", "random-core"])
-def test_malformed_input_exits_2(capsys, tmp_path, argv, trace):
+        "scan-host", "scan-budget-nodes", "stability-k", "sandwich-p",
+        "complete-host", "random-n", "random-core", "mode-flag", "method-flag"])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, trace, unknown_flag):
     (tmp_path / "seed.el").write_text("4 3\n0 1\n0 2\n0 3\n")
     (tmp_path / "trace.json").write_text(trace)
-    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
-    assert code == 2 and err.startswith("error:") and out == ""
+    argv = [a.format(dir=tmp_path) for a in argv]
+    if unknown_flag:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        code, (out, err) = info.value.code, capsys.readouterr()
+        assert "unrecognized arguments" in err
+    else:
+        code, out, err = run(capsys, *argv)
+        assert err.startswith("error:")
+    assert code == 2 and out == ""
 
 
 def test_construct_partition_method_removed(capsys):
     with pytest.raises(SystemExit) as info:
-        main(["construct", "--method", "partition", "--pattern", "complete:3",
-              "--host", "complete:6"])
+        main(["construct", "partition", "--pattern", "complete:3", "--host", "complete:6"])
     assert info.value.code == 2
     assert "invalid choice: 'partition'" in capsys.readouterr().err
 
@@ -295,25 +310,25 @@ FLAG_VALUES = {
     "--family": ["ks", "ktt", "kst", "k2t", "k1t", "x"],
     "--n": INTS, "--s": INTS, "--t": INTS, "--m": INTS, "--k": INTS,
     "--nmax": INTS, "--trials": BAD + ["2"], "--cap": BAD + ["10"],
-    "--method": ["complete", "random", "partition", "x"],
-    "--mode": ["stability", "sandwich", "neighborhood", "scan", "x"],
     "--pgrid": ["0.5", "0.2,0.9", "0.9,0.2", "0.3,x", "nan", "-1", "2"],
     "--p": BAD + ["0.5"],
 }
-# each subcommand's (required, optional) flags; "--seed-graph" is the graph
+EXPERIMENT = ["--pgrid", "--trials", "--seed"]
+BUDGET = ["--budget-nodes", "--budget-seconds"]
+# each (sub)command's (required, optional) flags; "--seed-graph" is the graph
 # given to --seed
 SUBCOMMANDS = {
     "closure": (["--host", "--pattern", "--seed-graph"], ["--rng-seed"]),
     "verify": (["--host", "--pattern", "--seed-graph", "--trace"], ["--rng-seed"]),
-    "solve": (["--host", "--pattern"],
-              ["--seed", "--budget-nodes", "--budget-seconds", "--greedy-repeats"]),
+    "solve": (["--host", "--pattern"], ["--seed", "--greedy-repeats"] + BUDGET),
     "formula": (["--family", "--n"], ["--s", "--t"]),
-    "construct": (["--method", "--pattern"],
-                  ["--host", "--n", "--m", "--core", "--seed"]),
-    "profile": (["--pattern", "--nmax"], ["--budget-nodes", "--budget-seconds"]),
-    "experiment": (["--mode", "--pattern"],
-                   ["--n", "--pgrid", "--trials", "--host", "--k", "--p", "--cap",
-                    "--budget-nodes", "--budget-seconds", "--seed"]),
+    "construct complete": (["--pattern", "--n"], ["--m", "--core", "--seed"]),
+    "construct random": (["--pattern", "--host", "--m"], ["--seed"]),
+    "profile": (["--pattern", "--nmax"], BUDGET),
+    "experiment stability": (["--pattern", "--n"], EXPERIMENT + BUDGET),
+    "experiment sandwich": (["--pattern", "--n"], EXPERIMENT + BUDGET),
+    "experiment scan": (["--pattern", "--n"], EXPERIMENT),
+    "experiment neighborhood": (["--pattern", "--host", "--k", "--p"], ["--cap", "--seed"]),
     "count": (["--host", "--pattern"], ["--seed"]),
 }
 FILES = {
@@ -341,17 +356,28 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     required, optional = SUBCOMMANDS[command]
     flags = required + draw(st.lists(st.sampled_from(optional + ["--out"]), unique=True))
-    argv = [command]
+    argv = command.split()
     for flag in flags:
         argv += [flag.replace("--seed-graph", "--seed"),
                  draw(st.sampled_from(FLAG_VALUES[flag]))]
-    # a time limit wherever one is read; neighborhood mode reads none
-    if ("--budget-seconds" in optional and "--budget-seconds" not in flags
-            and "neighborhood" not in argv):
-        argv += ["--budget-seconds", "2"]
+    if "--budget-seconds" in optional and "--budget-seconds" not in flags:
+        argv += ["--budget-seconds", "2"]  # a time limit wherever one is read
     return argv + draw(st.sampled_from([[], ["--json"]]))
 
 
+# a run of each experiment mode and construct method that gets past its
+# argument checks and exits 0
+@example(argv=["experiment", "stability", "--pattern", "complete:3", "--n", "5",
+               "--trials", "2", "--budget-seconds", "2"])
+@example(argv=["experiment", "sandwich", "--pattern", "cycle:4", "--n", "5",
+               "--pgrid", "0.2,0.9", "--trials", "2", "--budget-seconds", "2"])
+@example(argv=["experiment", "scan", "--pattern", "complete:3", "--n", "6", "--trials", "2",
+               "--out", "{dir}/out.txt"])
+@example(argv=["experiment", "neighborhood", "--pattern", "complete:3",
+               "--host", "complete:6", "--k", "2", "--p", "0.5", "--json"])
+@example(argv=["construct", "complete", "--pattern", "complete:3", "--n", "6"])
+@example(argv=["construct", "random", "--pattern", "complete:3", "--host", "complete:6",
+               "--m", "2", "--seed", "1"])
 @settings(max_examples=200, deadline=None)
 @given(argv=argvs())
 def test_cli_exit_contract(fuzz_dir, argv):

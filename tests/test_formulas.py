@@ -43,6 +43,14 @@ def test_closed_form_range_errors():
         closed_form_wsat(FormulaQuery("kst", n=4, s=3, t=2))  # needs t > s
     with pytest.raises(ParameterError):
         closed_form_wsat(FormulaQuery("ks", n=5))  # missing s
+    with pytest.raises(ParameterError, match="missing parameter 't'"):
+        closed_form_wsat(FormulaQuery("kst", n=20, s=2))
+    # ks takes s, kst both, the other families t: a parameter a family does
+    # not take is an error, not ignored
+    for q in (FormulaQuery("ks", n=5, s=3, t=9), FormulaQuery("ktt", n=6, s=2, t=2),
+              FormulaQuery("k2t", n=6, s=2, t=4), FormulaQuery("k1t", n=5, s=1, t=3)):
+        with pytest.raises(ParameterError, match="takes no parameter"):
+            closed_form_wsat(q)
 
 
 def test_closed_forms_match_exact_solver(k3, k4, k13, k23):
