@@ -141,16 +141,14 @@ def verify_trace_detailed(
     if not seed.is_spanning_subgraph_of(host):
         return False, None, "seed is not a spanning subgraph of the host"
     work = _Work(seed)
-    present = set(seed.edge_set)
     for i, (e, w) in enumerate(trace.steps):
         u, v = e
         edge = (u, v) if u < v else (v, u)
         if edge not in host.edge_set:
             return False, i, f"edge {edge} not in host"
-        if edge in present:
+        if v in work.adj[u]:
             return False, i, f"edge {edge} added twice (or already in seed)"
         work.add(*edge)
-        present.add(edge)
         if not w.validates(work, f, through=edge):
             return False, i, f"witness at step {i} is not a copy of F through {edge}"
     return True, None, "ok"

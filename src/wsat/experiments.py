@@ -17,7 +17,8 @@ from itertools import combinations
 from math import comb, factorial
 
 from .errors import InternalError, ParameterError
-from .graph import Graph, Seed, cliques, common_neighbors, complete, derive_seed, sample_gnp
+from .graph import (Graph, Seed, cliques, common_neighbors, complete, density_m, density_mu,
+                    derive_seed, sample_gnp)
 from .patterns import Pattern, contains_copy, count_copies
 from .solver import SearchBudget, WsatResult, wsat_exact
 
@@ -113,7 +114,7 @@ class ExperimentReport:
 
     CSV_FIELDS = [
         "p", "trial", "seed", "edges", "x_f", "wsat_lower", "wsat_exact",
-        "wsat_upper", "equal_to_complete", "status",
+        "wsat_upper", "equal_to_complete", "has_copy", "status",
     ]
 
     def to_csv(self) -> str:
@@ -212,8 +213,9 @@ def _stability(cfg: ExperimentConfig, report: ExperimentReport):
 def _sandwich(cfg: ExperimentConfig, report: ExperimentReport):
     """Asserts |E(G)| - X_F(G) <= wsat(G,F) <= |E(G)| on every trial (a
     violation is an engine bug) and aggregates X_F/|E| per p."""
-    report.annotations["mu_F"] = str(cfg.f.mu_F)
-    report.annotations["p_threshold_mu"] = cfg.n ** (-1 / float(cfg.f.mu_F))
+    mu = density_mu(cfg.f.graph)
+    report.annotations["mu_F"] = str(mu)
+    report.annotations["p_threshold_mu"] = cfg.n ** (-1 / float(mu))
 
     def trial(g: Graph, rec: TrialRecord) -> None:
         res = _solve(cfg, g, rec)
@@ -229,11 +231,12 @@ def _sandwich(cfg: ExperimentConfig, report: ExperimentReport):
 def _scan(cfg: ExperimentConfig, report: ExperimentReport):
     """Fraction of trials in which G(n,p) contains a copy of F, per p,
     annotated with the n^{-1/m(F)} and n^{-1/mu(F)} markers."""
+    m, mu = density_m(cfg.f.graph), density_mu(cfg.f.graph)
     report.annotations.update({
-        "m_F": str(cfg.f.m_F),
-        "mu_F": str(cfg.f.mu_F),
-        "p_threshold_m": cfg.n ** (-1 / float(cfg.f.m_F)),
-        "p_threshold_mu": cfg.n ** (-1 / float(cfg.f.mu_F)),
+        "m_F": str(m),
+        "mu_F": str(mu),
+        "p_threshold_m": cfg.n ** (-1 / float(m)),
+        "p_threshold_mu": cfg.n ** (-1 / float(mu)),
     })
 
     def trial(g: Graph, rec: TrialRecord) -> None:

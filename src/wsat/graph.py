@@ -248,10 +248,6 @@ def sample_gnp(n: int, p: float, seed: Seed | int) -> Graph:
     if isinstance(seed, int):
         seed = Seed(seed)
     rng = seed.rng()
-    if p == 0.0:
-        return Graph(n)
-    if p == 1.0:
-        return complete(n)
     return Graph(n, (e for e in combinations(range(n), 2) if rng.random() < p))
 
 

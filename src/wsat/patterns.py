@@ -10,11 +10,10 @@ input is always the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import InternalError, ParameterError
-from .graph import Edge, Graph, density_m, density_mu
+from .graph import Edge, Graph
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,6 @@ class Pattern:
     s: int
     t: int
     delta: int
-    m_F: Fraction
-    mu_F: Fraction
     aut: int
 
     # matching order: pattern vertices arranged so each one is adjacent to an
@@ -88,8 +85,6 @@ def normalize_pattern(f: Graph) -> Pattern:
         s=f.n,
         t=f.m_edges,
         delta=f.min_degree(),
-        m_F=density_m(f),
-        mu_F=density_mu(f),
         aut=aut,
         order=order,
         anchors=tuple((a, b, o) for (a, b), o in zip(oriented, orbit)),

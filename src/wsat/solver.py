@@ -165,13 +165,13 @@ def wsat_exact(
 ) -> WsatResult:
     """Iterative-deepening exact solver.
 
-    Deepens k from the larger of the general lower bound and the matroid
-    rank bound (a solved result still reports the general bound as
-    ``lower``); at each k, enumerates k-edge spanning subgraphs, discards any
-    whose vertex degrees fall below min{d_G(v), delta(F)-1}, then tests
-    F-freeness and percolation.  If the host itself has no copy of F, the
-    host is the unique weakly saturated graph and the answer is |E(G)|
-    immediately.
+    Deepens k from the largest of the general lower bound, the matroid
+    rank bound and half the sum over v of min{d_G(v), delta(F)-1}, rounded
+    up (a solved result still reports the general bound as ``lower``); at
+    each k, enumerates k-edge spanning subgraphs, discards any whose vertex
+    degrees fall below min{d_G(v), delta(F)-1}, then tests F-freeness and
+    percolation.  If the host itself has no copy of F, the host is the
+    unique weakly saturated graph and the answer is |E(G)| immediately.
     """
     budget = budget or SearchBudget()
     start = time.monotonic()
@@ -189,14 +189,12 @@ def wsat_exact(
 
     edges = g.edges()
     need = [min(g.degree(v), f.delta - 1) for v in range(g.n)]
-    need_total = sum(need)
-    k = max(lower_bound_general(g, f), _rank_bound(g, f))
+    lower = lower_bound_general(g, f)
+    # below half the degree sum the degree filter rejects every k-subset
+    k = max(lower, _rank_bound(g, f), -(-sum(need) // 2))
     nodes = 0
 
     while k <= m:
-        if need_total > 2 * k:
-            k += 1  # degree filter kills the whole level
-            continue
         for subset in _colex_subsets(m, k):
             nodes += 1
             if nodes > budget.max_nodes or (
@@ -214,12 +212,12 @@ def wsat_exact(
             if any(deg[v] < need[v] for v in range(g.n)):
                 continue
             h = Graph(g.n, (edges[i] for i in subset))
-            if k >= f.t and contains_copy(h, f):
+            if contains_copy(h, f):
                 continue
             res = closure(g, f, h)
             if res.percolates:
                 return WsatResult(
-                    lower=lower_bound_general(g, f),
+                    lower=lower,
                     upper=k,
                     exact=k,
                     certificate=(h, res.trace),

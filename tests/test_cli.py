@@ -365,8 +365,8 @@ def argvs(draw):
     return argv + draw(st.sampled_from([[], ["--json"]]))
 
 
-# a run of each experiment mode and construct method that gets past its
-# argument checks and exits 0
+# a run of each experiment mode, construct method, profile and formula that
+# gets past its argument checks and exits 0, and one formula out of range (1)
 @example(argv=["experiment", "stability", "--pattern", "complete:3", "--n", "5",
                "--trials", "2", "--budget-seconds", "2"])
 @example(argv=["experiment", "sandwich", "--pattern", "cycle:4", "--n", "5",
@@ -378,6 +378,9 @@ def argvs(draw):
 @example(argv=["construct", "complete", "--pattern", "complete:3", "--n", "6"])
 @example(argv=["construct", "random", "--pattern", "complete:3", "--host", "complete:6",
                "--m", "2", "--seed", "1"])
+@example(argv=["profile", "--pattern", "complete:3", "--nmax", "5", "--budget-seconds", "2"])
+@example(argv=["formula", "--family", "k2t", "--n", "6", "--t", "3"])
+@example(argv=["formula", "--family", "ks", "--n", "2", "--s", "3"])
 @settings(max_examples=200, deadline=None)
 @given(argv=argvs())
 def test_cli_exit_contract(fuzz_dir, argv):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -114,6 +116,11 @@ def test_csv_schema(k3):
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(ExperimentReport.CSV_FIELDS)
     assert len(lines) == 4
+    scan = run_experiment(ExperimentConfig(k3, 6, [0.2, 0.9], trials=3, master_seed=2,
+                                           mode="scan"))
+    rows = list(csv.DictReader(io.StringIO(scan.to_csv())))
+    assert [row["has_copy"] for row in rows] == [str(r.has_copy) for r in scan.records]
+    assert {row["has_copy"] for row in rows} == {"True", "False"}
 
 
 def test_extending_p_grid_preserves_existing_trials(k3):

@@ -1,3 +1,4 @@
+import sys
 from itertools import permutations
 
 import pytest
@@ -45,6 +46,20 @@ def test_normalize_edge():
 def test_normalize_rejects_edgeless():
     with pytest.raises(ParameterError):
         normalize_pattern(Graph(3))
+
+
+def test_normalize_computes_no_density(monkeypatch):
+    # m(F) and mu(F) scan every vertex subset of F; only the experiments that
+    # print them compute them, so a long cycle normalizes at once
+    def unread(g):
+        raise AssertionError("normalize_pattern computed a density")
+
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "wsat"]:
+        for name in ("density_m", "density_mu"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, unread)
+    f = normalize_pattern(cycle(20))
+    assert (f.s, f.t, f.delta, f.aut) == (20, 20, 2, 40)
 
 
 def test_contains_copy_examples(k3, p3):

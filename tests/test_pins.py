@@ -34,19 +34,19 @@ C4 = normalize_pattern(cycle(4))
 EXPERIMENT_PINS = {
     ("sandwich", "K3"): (
         "e05fb8c2039f83e39d31e3b9e5da75a5a5f2c7799b282104fdfc3e9c4ed1d0cb",
-        "7a8fe2afe4b1ce826ba283061e263c4355b165a3b665046615f43b6130d38da4",
+        "3aba8ae2e4ffdb361213c91678d68e1bcfbdb9a88fdc36bea8c367eb31f02d38",
     ),
     ("sandwich", "C4"): (
         "a6cfa59daefc4f6e6e9deff8d5b7a7791ca94c457943ffac262f61ff533f6cd1",
-        "8a35854660b01099e21ef018dd52b82ef1bc8a5424428d7a5df6f17282007cb7",
+        "26047ff1527919b0b7d733b4f3d4362cbd9a04274c8c64b36e7984428820d6dd",
     ),
     ("scan", "K3"): (
         "38e3d329f9faa98f7bfe541cdb7b7cd64a6deb2eca52e1251d7ba9c8f558a631",
-        "391d10d25fb30b7603dd2559252b54e86eb65d209e7812beb1a38f676e756c01",
+        "d811e8db66cfdd6a08814e3e94f4489a8361b62e91d21fb43c050d990abd9281",
     ),
     ("scan", "C4"): (
         "08125503ef067348458068f42f063a589f812c2d4393c827da99ae5bd77ff938",
-        "391d10d25fb30b7603dd2559252b54e86eb65d209e7812beb1a38f676e756c01",
+        "38432063427969e20e9512edfe81e1b0609976a939d1147826d30287696c8770",
     ),
 }
 
