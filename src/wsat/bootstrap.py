@@ -125,13 +125,23 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     )
 
 
-def is_weakly_saturated(host: Graph, f: Pattern, h: Graph) -> bool:
-    """True iff H is F-free and its F-closure inside the host percolates."""
+def saturation_failure(host: Graph, f: Pattern, h: Graph) -> dict | None:
+    """None when H is weakly (host, F)-saturated: F-free, with an F-closure
+    that percolates.  Otherwise the reason: H contains a copy of F, or its
+    closure stalls, naming the first host edge the closure misses."""
     if not h.is_spanning_subgraph_of(host):
         raise PreconditionError("H must be a spanning subgraph of the host")
     if contains_copy(h, f):
-        return False
-    return closure(host, f, h).percolates
+        return {"reason": "candidate contains a copy of the pattern"}
+    missing = host.edge_set - closure(host, f, h).closure.edge_set
+    if missing:
+        return {"reason": "closure stalled", "first_unreachable_edge": min(missing)}
+    return None
+
+
+def is_weakly_saturated(host: Graph, f: Pattern, h: Graph) -> bool:
+    """True iff H is F-free and its F-closure inside the host percolates."""
+    return saturation_failure(host, f, h) is None
 
 
 def verify_trace_detailed(

@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from itertools import combinations
 from math import comb, factorial
 
 from .errors import InternalError, ParameterError
 from .graph import (Graph, Seed, cliques, common_neighbors, complete, density_m, density_mu,
-                    derive_seed, sample_gnp)
+                    derive_seed, sample_gnp, seed_rng)
 from .patterns import Pattern, contains_copy, count_copies
 from .solver import SearchBudget, WsatResult, wsat_exact
 
@@ -86,16 +86,13 @@ class ExperimentReport:
             }
             if any(r.x_f is not None for r in ok):
                 agg["mean_x_f"] = _mean([r.x_f for r in ok if r.x_f is not None])
-                ratios = [
-                    r.x_f / r.edges for r in ok if r.x_f is not None and r.edges
-                ]
-                agg["mean_xf_over_edges"] = _mean(ratios) if ratios else 0.0
-            if any(r.equal_to_complete is not None for r in ok):
-                flags = [r.equal_to_complete for r in ok if r.equal_to_complete is not None]
-                agg["fraction_equal"] = (sum(flags) / len(flags)) if flags else 0.0
-            if any(r.has_copy is not None for r in ok):
-                flags = [r.has_copy for r in ok if r.has_copy is not None]
-                agg["fraction_with_copy"] = (sum(flags) / len(flags)) if flags else 0.0
+                agg["mean_xf_over_edges"] = _mean(
+                    [r.x_f / r.edges for r in ok if r.x_f is not None and r.edges])
+            for key, name in (("fraction_equal", "equal_to_complete"),
+                              ("fraction_with_copy", "has_copy")):
+                flags = [getattr(r, name) for r in ok if getattr(r, name) is not None]
+                if flags:
+                    agg[key] = _mean(flags)
             out.append(agg)
         return out
 
@@ -112,17 +109,14 @@ class ExperimentReport:
             sort_keys=True,
         )
 
-    CSV_FIELDS = [
-        "p", "trial", "seed", "edges", "x_f", "wsat_lower", "wsat_exact",
-        "wsat_upper", "equal_to_complete", "has_copy", "status",
-    ]
+    CSV_FIELDS = [f.name for f in fields(TrialRecord)]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=self.CSV_FIELDS, extrasaction="ignore")
+        w = csv.DictWriter(buf, fieldnames=self.CSV_FIELDS)
         w.writeheader()
         for r in sorted(self.records, key=lambda r: (r.p, r.trial)):
-            w.writerow({k: getattr(r, k) for k in self.CSV_FIELDS})
+            w.writerow(asdict(r))
         return buf.getvalue()
 
 
@@ -148,8 +142,8 @@ def neighborhood_property_check(
     """Over k-subsets of V(G) (all, or sample_cap seeded samples): the
     fraction with at least p^k n / 2 common neighbors, and for k = 2 the
     fraction whose common neighborhood contains a clique of size s-2."""
-    if isinstance(seed, int):
-        seed = Seed(seed)
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError("p must lie in [0,1]")
     if k < 1 or k > g.n:
         raise ParameterError("subset size out of range")
     if sample_cap < 1:
@@ -159,7 +153,7 @@ def neighborhood_property_check(
         subsets = list(combinations(range(g.n), k))
         sampled = False
     else:
-        rng = seed.rng()
+        rng = seed_rng(seed)
         subsets = [tuple(sorted(rng.sample(range(g.n), k))) for _ in range(sample_cap)]
         sampled = True
     need = p**k * g.n / 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .bootstrap import closure, is_weakly_saturated
+from .bootstrap import is_weakly_saturated, saturation_failure
 from .errors import (
     ConstructionError,
     InternalError,
@@ -19,7 +19,7 @@ from .errors import (
     StructureAbsentError,
 )
 from .graph import Graph, Seed, cliques, common_neighbors, complete
-from .patterns import Pattern, contains_copy
+from .patterns import Pattern
 from .solver import SearchBudget, greedy_upper_bound, wsat_exact
 
 
@@ -141,23 +141,12 @@ def construct_complete_host_saturator(
 
 
 def _verified(host: Graph, f: Pattern, h: Graph, what: str) -> Graph:
-    """h itself when it is weakly (host, F)-saturated; otherwise raise
-    naming the copy of F in h or the first host edge its closure misses."""
-    if contains_copy(h, f):
-        diagnostic = {"reason": "candidate contains a copy of the pattern"}
-    else:
-        missing = sorted(host.edge_set - closure(host, f, h).closure.edge_set)
-        if not missing:
-            return h
-        diagnostic = {"reason": "closure stalled", "first_unreachable_edge": missing[0]}
-    raise ConstructionError(f"{what} failed verification", diagnostic=diagnostic)
-
-
-def _greedy_core(g: Graph, part: list[int], f: Pattern, seed: Seed) -> set:
-    """Weakly (G[part], F)-saturated edge set via reverse-delete, in G's labels."""
-    sub, labels = g.induced(part)
-    h, _ = greedy_upper_bound(sub, f, seed).certificate
-    return {(labels[u], labels[v]) for u, v in h.edge_set}
+    """h itself when it is weakly (host, F)-saturated; otherwise raise with
+    :func:`saturation_failure`'s reason as the diagnostic."""
+    diagnostic = saturation_failure(host, f, h)
+    if diagnostic is not None:
+        raise ConstructionError(f"{what} failed verification", diagnostic=diagnostic)
+    return h
 
 
 def construct_random_host_saturator(
@@ -172,14 +161,14 @@ def construct_random_host_saturator(
     result is verified; failure raises with the first unreachable edge, which
     is an expected outcome on sparse hosts.
     """
-    if isinstance(seed, int):
-        seed = Seed(seed)
     d = f.delta
     omega = next(cliques(g, range(g.n), m), None)
     if omega is None:
         raise StructureAbsentError(f"host contains no clique of size {m}")
     omega_set = set(omega)
-    edges = _greedy_core(g, list(omega), f, seed)
+    sub, labels = g.induced(omega)
+    core, _ = greedy_upper_bound(sub, f, seed).certificate
+    edges = {(labels[u], labels[v]) for u, v in core.edge_set}
     common = common_neighbors(g, omega)
     if d - 1 > m:
         raise StructureAbsentError(

@@ -22,6 +22,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator
@@ -38,7 +39,7 @@ def _norm_edge(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.  Immutable after construction."""
 
-    __slots__ = ("n", "adj", "edge_set", "_hash")
+    __slots__ = ("n", "adj", "edge_set")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -59,7 +60,6 @@ class Graph:
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
         self.edge_set = frozenset(es)
-        self._hash = None
 
     @property
     def m_edges(self) -> int:
@@ -99,9 +99,7 @@ class Graph:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.edge_set))
-        return self._hash
+        return hash((self.n, self.edge_set))  # the frozenset caches its own hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m_edges})"
@@ -131,6 +129,11 @@ class Seed:
 
     def rng(self) -> Random:
         return Random(derive_seed(self.master, self.stream))
+
+
+def seed_rng(seed: Seed | int) -> Random:
+    """The generator of ``seed``; a bare int is the master of ``Seed(seed)``."""
+    return (Seed(seed) if isinstance(seed, int) else seed).rng()
 
 
 def derive_seed(master: int, *indices: int) -> int:
@@ -245,9 +248,7 @@ def sample_gnp(n: int, p: float, seed: Seed | int) -> Graph:
         raise ParameterError("p must lie in [0,1]")
     if n < 1:
         raise ParameterError("sample_gnp needs n >= 1")
-    if isinstance(seed, int):
-        seed = Seed(seed)
-    rng = seed.rng()
+    rng = seed_rng(seed)
     return Graph(n, (e for e in combinations(range(n), 2) if rng.random() < p))
 
 
@@ -303,6 +304,7 @@ def decode_edge_list(text: str) -> Graph:
 # -- density functionals -----------------------------------------------------
 
 
+@cache  # density_mu reads it too, and the scan is exponential
 def density_m(g: Graph) -> Fraction:
     """max |E(H)|/|V(H)| over subgraphs H.
 

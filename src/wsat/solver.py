@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional
 
 from .bootstrap import ActivationTrace, _Work, closure
 from .errors import InternalError, ParameterError, PreconditionError
-from .graph import Graph, Seed
+from .graph import Graph, Seed, seed_rng
 from .patterns import Pattern, _iter_maps, contains_copy, copy_through_edge
 
 
@@ -243,9 +243,7 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
     injective map sends exactly one pattern edge onto e, in one orientation,
     so each is subtracted once.  The remainder becomes a ``Graph`` at the end.
     """
-    if isinstance(seed, int):
-        seed = Seed(seed)
-    rng = seed.rng()
+    rng = seed_rng(seed)
     work = _Work(g)
 
     def count(pins) -> Counter:

@@ -17,7 +17,7 @@ from wsat.bootstrap import (
     is_weakly_saturated,
 )
 from wsat.errors import PreconditionError
-from wsat.graph import Edge, Graph, Seed
+from wsat.graph import Edge, Graph, Seed, seed_rng
 from wsat.patterns import (
     CopyWitness, Pattern, _iter_maps, contains_copy, copy_through_edge)
 from wsat.solver import WsatResult, lower_bound_general
@@ -74,9 +74,7 @@ def greedy_naive(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult:
     F-free, and replaying the deletions in reverse is a valid saturation
     order, so the remainder is weakly (G,F)-saturated.
     """
-    if isinstance(seed, int):
-        seed = Seed(seed)
-    rng = seed.rng()
+    rng = seed_rng(seed)
     work_edges = set(g.edge_set)
     deletions: list = []
     current = g

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wsat import (
     ActivationTrace,
@@ -7,15 +9,19 @@ from wsat import (
     Seed,
     closure,
     complete,
+    contains_copy,
+    cycle,
     empty,
     is_weakly_saturated,
     matching,
     normalize_pattern,
+    path,
     star,
     verify_trace,
     verify_trace_detailed,
 )
-from conftest import random_host, random_spanning_subgraph
+from wsat.bootstrap import saturation_failure
+from conftest import random_host, random_spanning_subgraph, small_hosts
 from oracles import closure_naive
 
 
@@ -57,6 +63,38 @@ def test_is_weakly_saturated_examples(k3):
     assert is_weakly_saturated(host, k3, _pad(star(3), 4))
     assert not is_weakly_saturated(host, k3, host)  # contains F
     assert not is_weakly_saturated(host, k3, Graph(4, [(0, 1), (2, 3)]))
+
+
+VERDICT_PATTERNS = [normalize_pattern(g) for g in (
+    complete(3), path(3), star(3), cycle(4), matching(2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hosts(6), st.sampled_from(VERDICT_PATTERNS), st.integers(0, 2**15 - 1))
+# K4 under K3: itself (a copy), a perfect matching (stalls), a star (saturated)
+@example(complete(4), VERDICT_PATTERNS[0], 0b111111)
+@example(complete(4), VERDICT_PATTERNS[0], 0b100001)
+@example(complete(4), VERDICT_PATTERNS[0], 0b000111)
+def test_saturation_failure_against_naive_closure(host, f, mask):
+    # bit i of mask keeps the i-th host edge in H
+    h = Graph(host.n, [e for i, e in enumerate(host.edges()) if mask >> i & 1])
+    missing = sorted(host.edge_set - closure_naive(host, f, h).closure.edge_set)
+    if contains_copy(h, f):
+        want = {"reason": "candidate contains a copy of the pattern"}
+    elif missing:
+        want = {"reason": "closure stalled", "first_unreachable_edge": missing[0]}
+    else:
+        want = None
+    assert saturation_failure(host, f, h) == want
+    assert is_weakly_saturated(host, f, h) is (want is None)
+
+
+def test_saturation_failure_requires_spanning_subgraph(k3):
+    # H must span the host before its copies of F are looked at
+    with pytest.raises(PreconditionError):
+        saturation_failure(complete(4), k3, complete(3))
+    with pytest.raises(PreconditionError):
+        saturation_failure(Graph(5, complete(4).edge_set), k3, complete(5))
 
 
 def test_emitted_trace_verifies(k3):

@@ -365,33 +365,45 @@ def argvs(draw):
     return argv + draw(st.sampled_from([[], ["--json"]]))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 # a run of each experiment mode, construct method, profile and formula that
-# gets past its argument checks and exits 0, and one formula out of range (1)
+# gets past its argument checks and exits 0, one formula out of range (1), and
+# a --p outside [0,1] (2); each names the exit code it must get
 @example(argv=["experiment", "stability", "--pattern", "complete:3", "--n", "5",
-               "--trials", "2", "--budget-seconds", "2"])
+               "--trials", "2", "--budget-seconds", "2"], exit_code=0)
 @example(argv=["experiment", "sandwich", "--pattern", "cycle:4", "--n", "5",
-               "--pgrid", "0.2,0.9", "--trials", "2", "--budget-seconds", "2"])
+               "--pgrid", "0.2,0.9", "--trials", "2", "--budget-seconds", "2"], exit_code=0)
 @example(argv=["experiment", "scan", "--pattern", "complete:3", "--n", "6", "--trials", "2",
-               "--out", "{dir}/out.txt"])
+               "--out", "{dir}/out.txt"], exit_code=0)
 @example(argv=["experiment", "neighborhood", "--pattern", "complete:3",
-               "--host", "complete:6", "--k", "2", "--p", "0.5", "--json"])
-@example(argv=["construct", "complete", "--pattern", "complete:3", "--n", "6"])
+               "--host", "complete:6", "--k", "2", "--p", "0.5", "--json"], exit_code=0)
+@example(argv=["experiment", "neighborhood", "--pattern", "complete:3",
+               "--host", "complete:5", "--k", "2", "--p", "nan", "--json"], exit_code=2)
+@example(argv=["construct", "complete", "--pattern", "complete:3", "--n", "6"], exit_code=0)
 @example(argv=["construct", "random", "--pattern", "complete:3", "--host", "complete:6",
-               "--m", "2", "--seed", "1"])
-@example(argv=["profile", "--pattern", "complete:3", "--nmax", "5", "--budget-seconds", "2"])
-@example(argv=["formula", "--family", "k2t", "--n", "6", "--t", "3"])
-@example(argv=["formula", "--family", "ks", "--n", "2", "--s", "3"])
+               "--m", "2", "--seed", "1"], exit_code=0)
+@example(argv=["profile", "--pattern", "complete:3", "--nmax", "5", "--budget-seconds", "2"],
+         exit_code=0)
+@example(argv=["formula", "--family", "k2t", "--n", "6", "--t", "3"], exit_code=0)
+@example(argv=["formula", "--family", "ks", "--n", "2", "--s", "3"], exit_code=1)
 @settings(max_examples=200, deadline=None)
-@given(argv=argvs())
-def test_cli_exit_contract(fuzz_dir, argv):
+@given(argv=argvs(), exit_code=st.none())
+def test_cli_exit_contract(fuzz_dir, argv, exit_code):
     # 0 success, 1 domain error, 2 usage error (argparse exits with 0 or 2);
-    # any other exception is a traceback the contract forbids
+    # any other exception is a traceback the contract forbids.  Whatever
+    # reaches stdout is strict JSON, with no NaN or Infinity.
     argv = [a.format(dir=fuzz_dir) for a in argv]
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
             assert code in (0, 2), argv
     assert code in (0, 1, 2), argv
+    assert exit_code in (None, code), argv
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

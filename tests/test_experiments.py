@@ -5,15 +5,19 @@ import math
 
 import pytest
 
+import wsat.graph
 from wsat import (
     ExperimentConfig,
     ExperimentReport,
     ParameterError,
     Seed,
     complete,
+    cycle,
+    density_m,
     empty,
     expected_copies,
     neighborhood_property_check,
+    normalize_pattern,
     run_experiment,
 )
 
@@ -123,6 +127,27 @@ def test_csv_schema(k3):
     assert {row["has_copy"] for row in rows} == {"True", "False"}
 
 
+@pytest.mark.parametrize("mode", ["stability", "sandwich", "scan"])
+def test_json_record_keys_match_csv_header(k3, mode):
+    rep = run_experiment(ExperimentConfig(k3, 5, [0.5], trials=2, master_seed=3, mode=mode))
+    header = next(csv.reader(io.StringIO(rep.to_csv())))
+    assert header == ExperimentReport.CSV_FIELDS
+    assert all(sorted(r) == sorted(header) for r in json.loads(rep.to_json())["records"])
+
+
+def test_scan_computes_density_once(monkeypatch):
+    # m(F) takes one combinations() call per subset size 2..s, and mu(F)
+    # needs m(F) again; each trial's G(n, p) sample takes one more call
+    c10 = normalize_pattern(cycle(10))
+    density_m.cache_clear()
+    calls = []
+    real = wsat.graph.combinations
+    monkeypatch.setattr(wsat.graph, "combinations",
+                        lambda *args: calls.append(args) or real(*args))
+    run_experiment(ExperimentConfig(c10, 10, [0.5], trials=2, master_seed=1, mode="scan"))
+    assert len(calls) == (10 - 1) + 2
+
+
 def test_extending_p_grid_preserves_existing_trials(k3):
     short = run_experiment(ExperimentConfig(k3, 6, [0.5], 4, 9))
     long = run_experiment(ExperimentConfig(k3, 6, [0.5, 0.8], 4, 9))
@@ -152,3 +177,9 @@ def test_neighborhood_check_sampling_deterministic(k3):
     assert a == b and a["sampled"] and a["subsets_checked"] == 100
     with pytest.raises(ParameterError):
         neighborhood_property_check(g, k3, k=0, p=0.5)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -0.1, 1.5])
+def test_neighborhood_check_rejects_p_outside_unit_interval(k3, p):
+    with pytest.raises(ParameterError, match=r"p must lie in \[0,1\]"):
+        neighborhood_property_check(complete(5), k3, k=2, p=p)
