@@ -93,21 +93,19 @@ def closed_form_wsat(q: FormulaQuery) -> int | tuple[int, int]:
 def generic_upper_bounds(
     n: int, f: Pattern, m: int | None = None, wsat_m: int | None = None
 ) -> int:
-    """Upper bounds on wsat(n, F).
+    """Upper bound (delta-1)(n-m) + wsat_m on wsat(n, F), for n >= m >= s-1.
 
-    With (m, wsat_m) supplied: (delta-1)(n-m) + wsat_m, valid for n >= m >= s-1.
-    Without: (delta-1)n + (s-1)(s-2*delta)/2, valid for n >= s-1.
+    Without (m, wsat_m) it takes m = s-1: K_{s-1} is F-free, so wsat_m =
+    C(s-1, 2) and the bound is (delta-1)n + (s-1)(s-2*delta)/2.
     """
     s, d = f.s, f.delta
-    if m is not None:
-        if wsat_m is None:
-            raise ParameterError("wsat_m must accompany m")
-        if not n >= m >= s - 1:
-            raise RangeError(f"need n >= m >= s-1 (n={n}, m={m}, s={s})")
-        return (d - 1) * (n - m) + wsat_m
-    if n < s - 1:
-        raise RangeError(f"need n >= s-1 (n={n}, s={s})")
-    return (d - 1) * n + (s - 1) * (s - 2 * d) // 2
+    if (m is None) != (wsat_m is None):
+        raise ParameterError("m and wsat_m must be given together")
+    if m is None:
+        m, wsat_m = s - 1, comb(s - 1, 2)
+    if not n >= m >= s - 1:
+        raise RangeError(f"need n >= m >= s-1 (n={n}, m={m}, s={s})")
+    return (d - 1) * (n - m) + wsat_m
 
 
 # -- constructions -----------------------------------------------------------

@@ -34,11 +34,11 @@ class Pattern:
     # earlier one whenever its component allows; precomputed once.
     order: tuple[int, ...]
 
-    # oriented edge anchors (a, b, orbit) in the order copy_through_edge tries
-    # them: (a, b) then (b, a) for each sorted edge.  Anchors with the same
-    # orbit are carried onto each other by an automorphism of F, so an
-    # anchored search succeeds for all of them or for none.
-    anchors: tuple[tuple[int, int, int], ...]
+    # oriented edge anchors (a, b) that copy_through_edge tries: of the list
+    # (a, b), (b, a) for each sorted edge, the first of each Aut(F)-orbit.
+    # Anchors in one orbit are carried onto each other by an automorphism of
+    # F, so an anchored search succeeds for all of them or for none.
+    anchors: tuple[tuple[int, int], ...]
 
 
 def _matching_order(g: Graph) -> tuple[int, ...]:
@@ -87,7 +87,7 @@ def normalize_pattern(f: Graph) -> Pattern:
         delta=f.min_degree(),
         aut=aut,
         order=order,
-        anchors=tuple((a, b, o) for (a, b), o in zip(oriented, orbit)),
+        anchors=tuple(ab for i, ab in enumerate(oriented) if orbit[i] == i),
     )
 
 
@@ -187,21 +187,17 @@ def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
     """First (deterministic) copy of F in G whose image contains the edge e,
     or None when no copy through e exists.
 
-    Anchors each pattern edge onto e in both orientations and extends by
-    backtracking.  An anchor is skipped when an earlier anchor of its
-    Aut(F)-orbit has failed; every earlier anchor failed, so the first
-    success is the one the full loop would find.
+    Anchors one oriented pattern edge per Aut(F)-orbit onto e and extends
+    by backtracking.  Anchoring every oriented edge finds the same witness:
+    its first success is the first anchor of its orbit, since that anchor
+    succeeds too and every anchor before the success failed.
     """
     u, v = e
     if u > v:
         u, v = v, u
     if v not in g.adj[u]:
         raise ParameterError(f"edge ({u},{v}) not present in host")
-    failed = set()
-    for a, b, orbit in f.anchors:
-        if orbit in failed:
-            continue
+    for a, b in f.anchors:
         for mapping in _iter_maps(f.graph, f.order, g, fixed={a: u, b: v}):
             return CopyWitness(tuple(mapping[i] for i in range(f.s)))
-        failed.add(orbit)
     return None

@@ -2,13 +2,15 @@
 
 wsat(G,F) is the minimum edge count of a spanning F-free subgraph H of G
 whose F-closure percolates to G.  The exact solver runs iterative deepening
-over k-edge spanning subgraphs (colexicographic subset order) with a degree
-filter, from a matroid rank bound: a table of the rigidity matroids and the
-even-cycle matroid, in which a qualifying F gives wsat >= r(G), plus one when
-every F - e is dependent.  The greedy solver reverse-deletes edges lying in
-copies of F, which always leaves a weakly saturated graph.  Greedy counts the
-maps of F through each host edge once; a deletion subtracts the maps through
-the deleted edge, each sending exactly one oriented pattern edge onto it, so
+over k-edge spanning subgraphs with a degree filter, from a matroid rank
+bound: a table of the rigidity matroids and the even-cycle matroid, in which
+a qualifying F gives wsat >= r(G), plus one when every F - e is dependent.
+Each level walks the m - k left-out edges in lexicographic order of the
+reversed edge list (colex order on the kept edges) and reads the clock at
+every subset.  The greedy solver reverse-deletes edges lying in copies of F,
+which always leaves a weakly saturated graph.  Greedy counts the maps of F
+through each host edge once; a deletion subtracts the maps through the
+deleted edge, each sending exactly one oriented pattern edge onto it, so
 none twice.
 """
 
@@ -19,6 +21,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import combinations
 from types import MappingProxyType
 from typing import Callable, Iterator, Optional
 
@@ -150,16 +153,6 @@ def _rank_bound(g: Graph, f: Pattern) -> int:
     return min(g.m_edges, bound)
 
 
-def _colex_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
-    """k-subsets of range(m) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for last in range(k - 1, m):
-        for rest in _colex_subsets(last, k - 1):
-            yield rest + (last,)
-
-
 def wsat_exact(
     g: Graph, f: Pattern, budget: SearchBudget | None = None
 ) -> WsatResult:
@@ -187,31 +180,31 @@ def wsat_exact(
             method="exact-search",
         )
 
-    edges = g.edges()
-    need = [min(g.degree(v), f.delta - 1) for v in range(g.n)]
+    degree = [g.degree(v) for v in range(g.n)]
+    need = [min(d, f.delta - 1) for d in degree]
     lower = lower_bound_general(g, f)
     # below half the degree sum the degree filter rejects every k-subset
     k = max(lower, _rank_bound(g, f), -(-sum(need) // 2))
     nodes = 0
+    reversed_edges = g.edges()[::-1]
 
     while k <= m:
-        for subset in _colex_subsets(m, k):
+        # lex order on the m - k left-out edges of the reversed edge list is
+        # colex order on the k kept edges of the sorted one
+        for dropped in combinations(reversed_edges, m - k):
             nodes += 1
-            if nodes > budget.max_nodes or (
-                nodes % 1024 == 0 and time.monotonic() - start > budget.max_seconds
-            ):
+            if nodes > budget.max_nodes or time.monotonic() - start > budget.max_seconds:
                 return WsatResult(
                     lower=k, upper=m, method="exact-search",
                     budget_exceeded=True, nodes=nodes,
                 )
-            deg = [0] * g.n
-            for i in subset:
-                u, v = edges[i]
-                deg[u] += 1
-                deg[v] += 1
+            deg = degree.copy()
+            for u, v in dropped:
+                deg[u] -= 1
+                deg[v] -= 1
             if any(deg[v] < need[v] for v in range(g.n)):
                 continue
-            h = Graph(g.n, (edges[i] for i in subset))
+            h = Graph(g.n, g.edge_set.difference(dropped))
             if contains_copy(h, f):
                 continue
             res = closure(g, f, h)
@@ -263,7 +256,8 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
         e = rng.choice(sorted(e for e, c in through.items() if c == best))
         deletions.append((e, copy_through_edge(work, f, e)))
         u, v = e
-        through -= count({a: u, b: v} for a, b, _ in f.anchors)  # drops zeros
+        through -= count({a: x, b: y} for a, b in f.graph.edge_set
+                         for x, y in ((u, v), (v, u)))  # drops zeros
         work.remove(u, v)
     h = Graph(g.n, work.edges())
     lower = lower_bound_general(g, f) if g.n >= f.s else 0

@@ -80,6 +80,8 @@ def test_generic_upper_bounds(k3, k13):
         generic_upper_bounds(3, k13, m=5, wsat_m=3)
     with pytest.raises(ParameterError):
         generic_upper_bounds(6, k3, m=3)
+    with pytest.raises(ParameterError):  # wsat_m alone is not ignored
+        generic_upper_bounds(10, k3, wsat_m=99)
 
 
 def test_eq2_upper_vs_closed_form(k3, k4):

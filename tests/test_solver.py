@@ -1,4 +1,6 @@
+from itertools import combinations, count
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,7 @@ from wsat import (
     verify_trace,
     wsat_exact,
 )
+from wsat import solver
 from wsat.solver import _qualifying, _rank_bound
 from conftest import random_host, small_hosts
 from oracles import greedy_naive, wsat_exact_naive
@@ -88,6 +91,28 @@ def test_budget_exhaustion_flags_partial():
     assert res.budget_exceeded
     assert res.exact is None
     assert res.lower == 7 and res.upper == complete(6).m_edges
+
+
+def test_budget_clock_read_at_every_subset(monkeypatch):
+    # a clock that advances one second per read: the first subset already
+    # exceeds a half-second budget
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=count().__next__))
+    k24 = normalize_pattern(complete_bipartite(2, 4))
+    res = wsat_exact(complete(6), k24, SearchBudget(max_seconds=0.5))
+    assert res.budget_exceeded and res.nodes == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hosts(6), st.sampled_from([complete(3), path(3), cycle(4), star(3)]))
+def test_certificate_is_first_saturated_subset_in_colex_order(host, pattern):
+    # colex order on the kept edges, written out without the solver's walk
+    f = normalize_pattern(pattern)
+    res = wsat_exact(host, f)
+    edges = host.edges()
+    colex = sorted(combinations(range(len(edges)), res.exact), key=lambda s: s[::-1])
+    subgraphs = (Graph(host.n, (edges[i] for i in s)) for s in colex)
+    first = next(h for h in subgraphs if is_weakly_saturated(host, f, h))
+    assert res.certificate[0] == first
 
 
 # theta(1,2,3), three paths of lengths 1, 2 and 3 between two vertices,
