@@ -82,9 +82,6 @@ class _Work:
         self.adj[u].discard(v)
         self.adj[v].discard(u)
 
-    def edges(self) -> set[Edge]:
-        return {(u, v) for u in range(self.n) for v in self.adj[u] if u < v}
-
 
 def _try_edge(work: _Work, f: Pattern, e: Edge) -> CopyWitness | None:
     u, v = e
@@ -100,7 +97,8 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
 
     Candidates that find no copy are set aside; every successful addition
     re-enqueues all of them, since the new edge may complete a copy through
-    any of them.
+    any of them.  The loop ends with the queue empty, so the set-aside edges
+    are exactly the host edges the closure misses.
     """
     if not seed.is_spanning_subgraph_of(host):
         raise PreconditionError("seed must be a spanning subgraph of the host")
@@ -117,11 +115,10 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
         steps.append((e, w))
         queue.extend(sorted(stalled))
         stalled.clear()
-    closed = Graph(host.n, work.edges())
     return ClosureResult(
-        closure=closed,
+        closure=Graph(host.n, host.edge_set - stalled),
         trace=ActivationTrace(steps),
-        percolates=closed.edge_set == host.edge_set,
+        percolates=not stalled,
     )
 
 

@@ -63,11 +63,7 @@ def parse_graph_arg(spec: str, seed: int = 0) -> Graph:
                 raise ParameterError("gnp takes two parameters: gnp:n,p")
             return sample_gnp(_number(int, parts[0]), _number(float, parts[1]), Seed(seed))
         return build_named_graph(tag, *(_number(int, p) for p in parts))
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            return decode_edge_list(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParameterError(f"cannot read graph file {spec!r}: {exc}") from exc
+    return decode_edge_list(_read(spec, f"graph file {spec!r}"))
 
 
 def _number(kind, text: str):
@@ -80,6 +76,15 @@ def _number(kind, text: str):
 
 def parse_pattern_arg(spec: str) -> Pattern:
     return normalize_pattern(parse_graph_arg(spec))
+
+
+def _read(path: str, what: str) -> str:
+    """Read an input file; one that cannot be read or decoded is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {what}: {exc}") from exc
 
 
 def _write_out(path: str, text: str) -> None:
@@ -123,11 +128,7 @@ def cmd_verify(args) -> int:
     host = parse_graph_arg(args.host, args.rng_seed)
     f = parse_pattern_arg(args.pattern)
     seed_graph = parse_graph_arg(args.seed, args.rng_seed)
-    try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            trace = ActivationTrace.from_json(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParameterError(f"cannot read trace file: {exc}") from exc
+    trace = ActivationTrace.from_json(_read(args.trace, "trace file"))
     ok, idx, reason = verify_trace_detailed(host, f, seed_graph, trace)
     _emit({"valid": ok, "first_failure": idx, "reason": reason},
           f"trace valid={ok} ({reason})", args)

@@ -2,7 +2,7 @@
 
 Probabilistic claims are never asserted as limits here; each experiment
 records per-trial results under derived seeds so runs are bit-reproducible,
-and aggregates are recomputable from the records.  Trial RNG streams derive
+and aggregates are computed from the records.  Trial RNG streams derive
 from (master seed, p-index, trial-index), so extending the p-grid does not
 perturb existing trials.
 """
@@ -67,11 +67,11 @@ class ExperimentReport:
     n: int
     master_seed: int
     records: list[TrialRecord] = field(default_factory=list)
-    aggregates: list[dict] = field(default_factory=list)
     annotations: dict = field(default_factory=dict)
 
-    def recompute_aggregates(self) -> list[dict]:
-        """Rebuild per-p aggregates from the trial records (order-independent)."""
+    @property
+    def aggregates(self) -> list[dict]:
+        """Per-p aggregates of the trial records (order-independent)."""
         out: list[dict] = []
         by_p: dict[float, list[TrialRecord]] = {}
         for r in sorted(self.records, key=lambda r: (r.p, r.trial)):
@@ -245,7 +245,7 @@ _MODES = {"stability": _stability, "sandwich": _sandwich, "scan": _scan}
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run cfg.mode ("stability", "sandwich" or "scan") on cfg.trials samples
-    of G(n, p) for each p in the grid, then aggregate the records per p."""
+    of G(n, p) for each p in the grid; the report aggregates its records per p."""
     if cfg.mode not in _MODES:
         raise ParameterError(f"unknown experiment mode {cfg.mode!r}")
     report = ExperimentReport(cfg.mode, cfg.n, cfg.master_seed)
@@ -257,5 +257,4 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             rec = TrialRecord(p=p, trial=t, seed=s, edges=g.m_edges)
             trial(g, rec)
             report.records.append(rec)
-    report.aggregates = report.recompute_aggregates()
     return report

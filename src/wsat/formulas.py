@@ -219,14 +219,13 @@ def stability_profile(
         raise ParameterError(f"n_max must be at least s-1 = {n_min}")
     table: list[tuple[int, int]] = []
     complete_scan = True
+    # K_{s-1} is F-free, so wsat_exact solves it before reading the budget: table is nonempty
     for n in range(n_min, n_max + 1):
         res = wsat_exact(complete(n), f, budget)
         if res.exact is None:
             complete_scan = False
             break
         table.append((n, res.exact - (d - 1) * n))
-    if not table:
-        raise ParameterError("budget exhausted before any profile point")
     for (_, a), (_, b) in zip(table, table[1:]):
         if b > a:
             raise InternalError(f"phi increased from {a} to {b}; engine bug")

@@ -234,7 +234,7 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
     The maps of F are counted once, up front; deleting e subtracts only the
     maps through e, found by anchoring every oriented pattern edge on e.  An
     injective map sends exactly one pattern edge onto e, in one orientation,
-    so each is subtracted once.  The remainder becomes a ``Graph`` at the end.
+    so each is subtracted once.  The remainder is G less the deleted edges.
     """
     rng = seed_rng(seed)
     work = _Work(g)
@@ -259,7 +259,7 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
         through -= count({a: x, b: y} for a, b in f.graph.edge_set
                          for x, y in ((u, v), (v, u)))  # drops zeros
         work.remove(u, v)
-    h = Graph(g.n, work.edges())
+    h = Graph(g.n, g.edge_set.difference(e for e, _ in deletions))
     lower = lower_bound_general(g, f) if g.n >= f.s else 0
     return WsatResult(
         lower=min(lower, h.m_edges),

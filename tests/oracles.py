@@ -45,7 +45,7 @@ def closure_naive(host: Graph, f: Pattern, seed: Graph, scan_order=None) -> Clos
                 steps.append((e, w))
                 missing.remove(e)
                 progress = True
-    closed = Graph(host.n, work.edges())
+    closed = Graph(host.n, seed.edge_set.union(e for e, _ in steps))
     return ClosureResult(closed, ActivationTrace(steps), closed.edge_set == host.edge_set)
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from wsat import (
     ActivationTrace,
+    CopyWitness,
     Graph,
     PreconditionError,
     Seed,
@@ -139,6 +140,20 @@ def test_trace_rejects_duplicate_and_foreign_edges(k3):
     dup = ActivationTrace(res.trace.steps + [res.trace.steps[0]])
     ok, idx, _ = verify_trace_detailed(host, k3, seed, dup)
     assert not ok and idx == len(res.trace.steps)
+
+
+def test_trace_rejects_witness_that_is_no_copy_through_its_edge(k3):
+    host = complete(4)
+    seed = Graph(4, host.edge_set - {(0, 1)})
+
+    def replay(mapping):
+        trace = ActivationTrace([((0, 1), CopyWitness(mapping))])
+        return verify_trace_detailed(host, k3, seed, trace)
+
+    # too short, not injective, off the host (twice), a copy missing (0, 1)
+    for bad in [(0, 1), (0, 1, 1), (0, 1, 7), (0, 1, -1), (1, 2, 3)]:
+        assert replay(bad) == (False, 0, "witness at step 0 is not a copy of F through (0, 1)")
+    assert replay((0, 1, 2)) == (True, None, "ok")
 
 
 def test_trace_json_roundtrip(k3):

@@ -55,6 +55,14 @@ def test_solve_with_greedy_repeats(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["exact"] == 4 and doc["greedy_upper"] >= 4
 
+    # an unfinished search reports greedy's upper bound when it is smaller
+    code, out, _ = run(capsys, "solve", "--host", "gnp:8,0.7", "--pattern", "complete:4",
+                       "--budget-nodes", "1", "--greedy-repeats", "2", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["budget_exceeded"] is True and doc["exact"] is None
+    assert sample_gnp(8, 0.7, Seed(0)).m_edges == 16
+    assert doc["upper"] == doc["greedy_upper"] == 15
+
 
 def test_formula_command(capsys):
     code, out, _ = run(capsys, "formula", "--family", "k2t", "--n", "6",
@@ -101,6 +109,15 @@ def test_closure_and_verify_commands(capsys, tmp_path):
                        "--pattern", "complete:3", "--seed", str(seed_file),
                        "--trace", str(trace_file), "--json")
     assert code == 0 and json.loads(out)["valid"] is True
+
+    # a witness off the host fails verification; it is not a usage error
+    trace_file.write_text('[{"edge": [1, 2], "witness": [0, 1, 7]}]')
+    code, out, _ = run(capsys, "verify", "--host", "complete:4",
+                       "--pattern", "complete:3", "--seed", str(seed_file),
+                       "--trace", str(trace_file), "--json")
+    assert code == 0 and json.loads(out) == {
+        "valid": False, "first_failure": 0,
+        "reason": "witness at step 0 is not a copy of F through (1, 2)"}
 
 
 def test_construct_command(capsys):
@@ -237,6 +254,8 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
       "--out", "{dir}/missing/x.json"], "", False),
     (["count", "--host", "complete:4", "--pattern", "complete:3", "--out", "{dir}"], "", False),
     (SCAN + ["--trials", "2", "--out", "{dir}"], "", False),
+    (["experiment", "stability", "--pattern", "cbip:2,4", "--n", "6",
+      "--budget-nodes", "5"], "", False),
     # flags that the chosen mode or method does not take
     (NEIGHBORHOOD + ["--n", "6"], "", True),
     (NEIGHBORHOOD + ["--pgrid", "0.5"], "", True),
@@ -263,6 +282,7 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
         "trace-not-json", "trace-missing-edge", "trace-not-list",
         "trace-str-witness", "trace-float-edge", "trace-bool-edge",
         "out-missing-dir", "out-is-dir-count", "out-is-dir-experiment",
+        "stability-budget-below-complete-host",
         "neighborhood-n", "neighborhood-pgrid", "neighborhood-trials",
         "neighborhood-budget-nodes", "neighborhood-budget-seconds", "scan-cap",
         "scan-host", "scan-budget-nodes", "stability-k", "sandwich-p",

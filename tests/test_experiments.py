@@ -10,8 +10,11 @@ from wsat import (
     ExperimentConfig,
     ExperimentReport,
     ParameterError,
+    SearchBudget,
     Seed,
+    TrialRecord,
     complete,
+    complete_bipartite,
     cycle,
     density_m,
     empty,
@@ -75,6 +78,30 @@ def test_stability_sparse_hosts_forced_full(k3):
         assert r.wsat_exact == r.edges
 
 
+@pytest.mark.parametrize("mode", ["stability", "sandwich"])
+def test_budget_trials_are_recorded_and_excluded(k3, mode):
+    # a two-node budget solves one trial per p and runs out on the other two
+    rep = run_experiment(ExperimentConfig(k3, 7, [0.5, 0.9], trials=3, master_seed=0,
+                                          mode=mode, budget=SearchBudget(max_nodes=2)))
+    assert [r.status for r in rep.records] == ["budget", "budget", "ok"] * 2
+    for r in rep.records:
+        if r.status == "budget":
+            assert r.wsat_exact is None and r.equal_to_complete is None
+    for agg in rep.aggregates:
+        ok = [r for r in rep.records if r.p == agg["p"] and r.status == "ok"]
+        assert (agg["trials"], agg["excluded"]) == (3, 2)
+        assert agg["mean_edges"] == ok[0].edges and agg["mean_x_f"] == ok[0].x_f
+    rows = list(csv.DictReader(io.StringIO(rep.to_csv())))
+    assert [row["status"] for row in rows] == [r.status for r in rep.records]
+
+
+def test_stability_budget_too_small_for_complete_host():
+    k24 = normalize_pattern(complete_bipartite(2, 4))
+    with pytest.raises(ParameterError, match="budget too small to solve the complete host"):
+        run_experiment(ExperimentConfig(k24, 6, [0.5], trials=1, master_seed=0,
+                                        budget=SearchBudget(max_nodes=5)))
+
+
 def test_record_count_and_grid(k3):
     cfg = ExperimentConfig(k3, 6, [0.3, 0.6, 0.9], trials=4, master_seed=7)
     rep = run_experiment(cfg)
@@ -109,8 +136,9 @@ def test_report_bit_identical_and_recomputable(k3):
     b = run_experiment(cfg).to_json()
     assert a == b
     doc = json.loads(a)
-    rep = run_experiment(cfg)
-    assert rep.recompute_aggregates() == doc["aggregates"]
+    rep = ExperimentReport(doc["mode"], doc["n"], doc["master_seed"],
+                           [TrialRecord(**r) for r in doc["records"]])
+    assert rep.aggregates == doc["aggregates"]
     assert all("elapsed" not in r for r in doc["records"])
 
 

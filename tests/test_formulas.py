@@ -6,18 +6,22 @@ from wsat import (
     Graph,
     ParameterError,
     RangeError,
+    SearchBudget,
     StructureAbsentError,
     closed_form_wsat,
     complete,
     complete_bipartite,
     construct_complete_host_saturator,
     construct_random_host_saturator,
+    cycle,
     generic_upper_bounds,
     greedy_upper_bound,
     is_weakly_saturated,
+    matching,
     normalize_pattern,
     sample_gnp,
     stability_profile,
+    star,
     wsat_exact,
 )
 
@@ -159,3 +163,20 @@ def test_stability_profile_k13(k13):
 def test_stability_profile_k4(k4):
     prof = stability_profile(k4, 6)
     assert (prof.d_F, prof.k) == (-3, 4)
+
+
+def test_stability_profile_stops_at_budget():
+    # K5 is free of K_{2,4}, so n = 5 is solved; K6 needs more than 5 nodes
+    prof = stability_profile(normalize_pattern(complete_bipartite(2, 4)), 7,
+                             SearchBudget(max_nodes=5))
+    assert prof.complete_scan is False and prof.phi_table == [(5, 5)]
+
+
+@pytest.mark.parametrize("g", [complete(3), complete(5), star(4), cycle(5), matching(2),
+                               complete_bipartite(2, 4)],
+                         ids=["K3", "K5", "K14", "C5", "2K2", "K24"])
+def test_stability_profile_first_point_needs_no_budget(g):
+    # K_{s-1} is F-free, so its point is solved before the budget is read
+    f = normalize_pattern(g)
+    prof = stability_profile(f, f.s - 1, SearchBudget(max_nodes=1, max_seconds=1e-9))
+    assert prof.complete_scan and [n for n, _ in prof.phi_table] == [f.s - 1]

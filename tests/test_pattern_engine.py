@@ -91,7 +91,7 @@ def test_copy_through_edge_deterministic(k3):
     g = complete(5)
     a = copy_through_edge(g, k3, (1, 3))
     b = copy_through_edge(g, k3, (1, 3))
-    assert a == b
+    assert a == b == copy_through_edge(g, k3, (3, 1))
 
 
 def test_count_copies_examples(k3, p3):
