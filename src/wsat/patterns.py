@@ -10,7 +10,8 @@ input is always the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import cache
+from typing import Optional
 
 from .errors import InternalError, ParameterError
 from .graph import Edge, Graph
@@ -94,50 +95,73 @@ def normalize_pattern(f: Graph) -> Pattern:
 # -- core backtracking matcher -----------------------------------------------
 
 
+@cache
+def _plan(pat: Graph, order: tuple[int, ...], pinned: tuple[int, ...]) -> tuple:
+    """The vertices ``_iter_maps`` places, in order, each with its pattern
+    neighbours placed before it and its degree."""
+    placed = set(pinned)
+    plan = []
+    for pv in order:
+        if pv not in placed:
+            plan.append((pv, tuple(pu for pu in pat.adj[pv] if pu in placed),
+                         len(pat.adj[pv])))
+            placed.add(pv)
+    return tuple(plan)
+
+
 def _iter_maps(
     pat: Graph,
     order: tuple[int, ...],
     host,
     fixed: dict[int, int] | None = None,
-) -> Iterator[dict[int, int]]:
+):
     """Yield injective edge-preserving maps V(pat) -> V(host).
 
-    Each map is one live dict, valid until the iterator resumes: read it at
-    once, copy it to keep it.  ``host`` needs only ``.n`` and ``.adj`` (a
-    sequence of sets), so callers can pass mutable working graphs.  ``fixed``
-    pins the ends of one pattern edge onto a host edge the caller has checked
-    is present, so the pinned pair is not rechecked here.
+    Each map is one live list indexed by pattern vertex, valid until the
+    iterator resumes: read it at once, copy it to keep it.  ``host`` needs
+    only ``.n`` and ``.adj`` (a sequence of sets), so callers can pass mutable
+    working graphs.  ``fixed`` pins the ends of one pattern edge onto a host
+    edge the caller has checked is present, so the pinned pair is not
+    rechecked here.  The search is depth-first with an explicit stack of
+    candidate iterators; candidates are tried in ascending order.
     """
-    mapping: dict[int, int] = dict(fixed or {})
+    fixed = fixed or {}
+    plan = _plan(pat, order, tuple(fixed))
+    adj = host.adj
+    mapping = [-1] * pat.n
     used = [False] * host.n
-    for hv in mapping.values():
+    for pv, hv in fixed.items():
+        mapping[pv] = hv
         used[hv] = True
-    todo = [v for v in order if v not in mapping]
+    if not plan:
+        yield mapping
+        return
 
-    def extend(i: int) -> Iterator[dict[int, int]]:
-        if i == len(todo):
-            yield mapping
-            return
-        pv = todo[i]
-        mapped_nbrs = [mapping[pu] for pu in pat.adj[pv] if pu in mapping]
-        if mapped_nbrs:
-            cands = set(host.adj[mapped_nbrs[0]])
-            for hv in mapped_nbrs[1:]:
-                cands &= host.adj[hv]
-            pool = sorted(cands)
+    def pool(nbrs):
+        if not nbrs:
+            return iter(range(host.n))
+        return iter(sorted(adj[mapping[nbrs[0]]].intersection(
+            *[adj[mapping[pu]] for pu in nbrs[1:]])))
+
+    last = len(plan) - 1
+    stack = [pool(plan[0][1])]
+    while stack:
+        i = len(stack) - 1
+        pv, _, deg = plan[i]
+        for hv in stack[i]:
+            if not used[hv] and len(adj[hv]) >= deg:
+                break
         else:
-            pool = range(host.n)
-        deg_needed = len(pat.adj[pv])
-        for hv in pool:
-            if used[hv] or len(host.adj[hv]) < deg_needed:
-                continue
-            mapping[pv] = hv
+            stack.pop()
+            if i:
+                used[mapping[plan[i - 1][0]]] = False
+            continue
+        mapping[pv] = hv
+        if i == last:  # no deeper level reads ``used``, so it is not set
+            yield mapping
+        else:
             used[hv] = True
-            yield from extend(i + 1)
-            del mapping[pv]
-            used[hv] = False
-
-    yield from extend(0)
+            stack.append(pool(plan[i + 1][1]))
 
 
 def contains_copy(g, f: Pattern) -> bool:
@@ -199,5 +223,5 @@ def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
         raise ParameterError(f"edge ({u},{v}) not present in host")
     for a, b in f.anchors:
         for mapping in _iter_maps(f.graph, f.order, g, fixed={a: u, b: v}):
-            return CopyWitness(tuple(mapping[i] for i in range(f.s)))
+            return CopyWitness(tuple(mapping))
     return None

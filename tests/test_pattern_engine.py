@@ -246,11 +246,20 @@ def test_orbit_pruning_matches_all_anchor_loop(n, p, seed):
 @settings(max_examples=100, deadline=None)
 @given(small_hosts(7), st.sampled_from(sorted(ORBIT_PATTERNS)))
 def test_matcher_contract_against_permutations(g, name):
-    # the matcher yields one live dict; snapshot each map as it is yielded
+    # the matcher yields one live map; snapshot each one as it is yielded
     f = ORBIT_PATTERNS[name]
-    brute = sum(1 for p in permutations(range(g.n), f.s)
-                if all(p[b] in g.adj[p[a]] for a, b in f.graph.edge_set))
-    assert count_injective_maps(g, f) == brute
+    brute = [p for p in permutations(range(g.n), f.s)
+             if all(p[b] in g.adj[p[a]] for a, b in f.graph.edge_set)]
+    assert count_injective_maps(g, f) == len(brute)
     maps = [tuple(m[i] for i in range(f.s)) for m in _iter_maps(f.graph, f.order, g)]
-    assert len(set(maps)) == len(maps) == brute
     assert all(CopyWitness(m).validates(g, f) for m in maps)
+    # candidates are tried in ascending order at each step, so the maps come
+    # in lexicographic order of the images of f.order, unpinned and pinned
+    brute.sort(key=lambda p: [p[v] for v in f.order])
+    assert maps == brute
+    for a, b in f.anchors:
+        for u, v in g.edges():
+            for hu, hv in ((u, v), (v, u)):
+                pinned = [tuple(m[i] for i in range(f.s)) for m in
+                          _iter_maps(f.graph, f.order, g, fixed={a: hu, b: hv})]
+                assert pinned == [p for p in brute if (p[a], p[b]) == (hu, hv)]

@@ -8,11 +8,14 @@ why.
 
 import hashlib
 import json
+import random
+from math import comb
 
 import pytest
 
 from wsat import (
     ExperimentConfig,
+    Graph,
     Seed,
     WsatError,
     complete,
@@ -21,6 +24,7 @@ from wsat import (
     cycle,
     encode_edge_list,
     greedy_upper_bound,
+    closure,
     matching,
     normalize_pattern,
     run_experiment,
@@ -153,3 +157,26 @@ def test_cli_json_pinned(capsys, name):
     assert main(argv + ["--json"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and _sha(out) == digest
+
+
+# One G(30, 0.5) host with a seed graph of 0.15 edge density, sampled from the
+# host's edges.  The greedy traces above come from hosts of at most 16
+# vertices; here a vertex has ~15 neighbours, so the matcher's candidate pools
+# are large.
+# K4 stalls after 11 steps, C4 percolates in 150.
+LARGE_HOST_TRACE_PINS = {
+    "K4": (complete(4),
+           "ef834ec533910254a7e73fa0f920ee1f17e1ba8351684be15924eee1103c7977"),
+    "C4": (cycle(4),
+           "7cf6d1278c91d3124e37ed39bcf9a123e54cdabfa56d8b720494b7626312e427"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_HOST_TRACE_PINS))
+def test_large_host_closure_trace_pinned(name):
+    pattern, digest = LARGE_HOST_TRACE_PINS[name]
+    host = sample_gnp(30, 0.5, Seed(30))
+    seed = Graph(30, random.Random(30).sample(sorted(host.edge_set),
+                                              round(0.15 * comb(30, 2))))
+    trace = closure(host, normalize_pattern(pattern), seed).trace
+    assert _sha(trace.to_json()) == digest
