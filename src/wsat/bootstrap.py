@@ -83,15 +83,6 @@ class _Work:
         self.adj[v].discard(u)
 
 
-def _try_edge(work: _Work, f: Pattern, e: Edge) -> CopyWitness | None:
-    u, v = e
-    work.add(u, v)
-    w = copy_through_edge(work, f, e)
-    if w is None:
-        work.remove(u, v)
-    return w
-
-
 def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     """Compute the F-closure of ``seed`` inside ``host`` with a full trace.
 
@@ -108,8 +99,10 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     steps: list[tuple[Edge, CopyWitness]] = []
     while queue:
         e = queue.popleft()
-        w = _try_edge(work, f, e)
+        work.add(*e)
+        w = copy_through_edge(work, f, e)
         if w is None:
+            work.remove(*e)
             stalled.add(e)
             continue
         steps.append((e, w))

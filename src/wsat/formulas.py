@@ -8,6 +8,7 @@ returning; an unverified graph is never handed back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .bootstrap import is_weakly_saturated, saturation_failure
@@ -18,8 +19,8 @@ from .errors import (
     RangeError,
     StructureAbsentError,
 )
-from .graph import Graph, Seed, cliques, common_neighbors, complete
-from .patterns import Pattern
+from .graph import Graph, Seed, common_neighbors, complete
+from .patterns import Pattern, _iter_maps
 from .solver import SearchBudget, greedy_upper_bound, wsat_exact
 
 
@@ -152,15 +153,17 @@ def construct_random_host_saturator(
 ) -> Graph:
     """Clique-anchored saturator for an arbitrary host.
 
-    Finds an m-clique Omega, builds a greedy weakly (G[Omega], F)-saturated
-    core, joins every common neighbor of Omega to its delta-1 lowest-labeled
-    clique vertices, and gives every remaining vertex delta-1 edges into the
-    common neighborhood of itself and Omega (ascending label order).  The
-    result is verified; failure raises with the first unreachable edge, which
-    is an expected outcome on sparse hosts.
+    Takes the lexicographically first m-clique Omega, builds a greedy weakly
+    (G[Omega], F)-saturated core, joins every common neighbor of Omega to its
+    delta-1 lowest-labeled clique vertices, and gives every remaining vertex
+    delta-1 edges into the common neighborhood of itself and Omega (ascending
+    label order).  The result is verified; failure raises with the first
+    unreachable edge, which is an expected outcome on sparse hosts.
     """
     d = f.delta
-    omega = next(cliques(g, range(g.n), m), None)
+    # K_m's matching order is 0..m-1 and candidates ascend, so the first map
+    # of K_m is the lexicographically first m-clique
+    omega = next(map(tuple, _iter_maps(Graph(m, combinations(range(m), 2)), g)), None)
     if omega is None:
         raise StructureAbsentError(f"host contains no clique of size {m}")
     omega_set = set(omega)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import GraphParseError, InternalError, ParameterError, UndefinedDensityError
 
@@ -143,25 +143,6 @@ def derive_seed(master: int, *indices: int) -> int:
     for i in indices:
         h.update(struct.pack(">q", i))
     return int.from_bytes(h.digest()[:8], "big")
-
-
-def cliques(g: Graph, pool: Iterable[int], size: int) -> Iterator[tuple[int, ...]]:
-    """Every ``size``-clique of G within ``pool``, as an ascending tuple, in
-    lexicographic order (backtracking over ascending candidates)."""
-    if size < 0:
-        raise ParameterError(f"clique size must be >= 0, got {size}")
-
-    def extend(chosen: list[int], cands: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        if len(chosen) + len(cands) < size:
-            return
-        for i, v in enumerate(cands):
-            nxt = [u for u in cands[i + 1:] if u in g.adj[v]]
-            yield from extend(chosen + [v], nxt)
-
-    return extend([], sorted(pool))
 
 
 def common_neighbors(g: Graph, vertices: Iterable[int]) -> list[int]:

@@ -22,7 +22,8 @@ class Pattern:
     """A target graph F with cached invariants.
 
     Isolated vertices are stripped by :func:`normalize_pattern` (they do not
-    affect weak saturation), so ``delta >= 1`` always holds.
+    affect weak saturation), so ``delta >= 1`` always holds.  The matcher
+    works out its own vertex order from ``graph``.
     """
 
     graph: Graph
@@ -30,10 +31,6 @@ class Pattern:
     t: int
     delta: int
     aut: int
-
-    # matching order: pattern vertices arranged so each one is adjacent to an
-    # earlier one whenever its component allows; precomputed once.
-    order: tuple[int, ...]
 
     # oriented edge anchors (a, b) that copy_through_edge tries: of the list
     # (a, b), (b, a) for each sorted edge, the first of each Aut(F)-orbit.
@@ -70,14 +67,13 @@ def normalize_pattern(f: Graph) -> Pattern:
     used = sorted(v for v in range(f.n) if f.adj[v])
     if len(used) != f.n:
         f, _ = f.induced(used)
-    order = _matching_order(f)
     oriented = [ab for a, b in sorted(f.edge_set) for ab in ((a, b), (b, a))]
     index = {ab: i for i, ab in enumerate(oriented)}
     # Aut(F) is a group, so an anchor's orbit is its set of images; label
     # each anchor with the first index in its orbit
     orbit = list(range(len(oriented)))
     aut = 0
-    for sigma in _iter_maps(f, order, f):
+    for sigma in _iter_maps(f, f):
         aut += 1
         for i, (a, b) in enumerate(oriented):
             orbit[i] = min(orbit[i], index[sigma[a], sigma[b]])
@@ -87,7 +83,6 @@ def normalize_pattern(f: Graph) -> Pattern:
         t=f.m_edges,
         delta=f.min_degree(),
         aut=aut,
-        order=order,
         anchors=tuple(ab for i, ab in enumerate(oriented) if orbit[i] == i),
     )
 
@@ -96,12 +91,12 @@ def normalize_pattern(f: Graph) -> Pattern:
 
 
 @cache
-def _plan(pat: Graph, order: tuple[int, ...], pinned: tuple[int, ...]) -> tuple:
-    """The vertices ``_iter_maps`` places, in order, each with its pattern
-    neighbours placed before it and its degree."""
+def _plan(pat: Graph, pinned: tuple[int, ...]) -> tuple:
+    """The vertices ``_iter_maps`` places, in matching order, each with its
+    pattern neighbours placed before it and its degree."""
     placed = set(pinned)
     plan = []
-    for pv in order:
+    for pv in _matching_order(pat):
         if pv not in placed:
             plan.append((pv, tuple(pu for pu in pat.adj[pv] if pu in placed),
                          len(pat.adj[pv])))
@@ -109,24 +104,21 @@ def _plan(pat: Graph, order: tuple[int, ...], pinned: tuple[int, ...]) -> tuple:
     return tuple(plan)
 
 
-def _iter_maps(
-    pat: Graph,
-    order: tuple[int, ...],
-    host,
-    fixed: dict[int, int] | None = None,
-):
-    """Yield injective edge-preserving maps V(pat) -> V(host).
+def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None):
+    """Yield injective edge-preserving maps V(pat) -> V(host), the library's
+    one subgraph search.
 
     Each map is one live list indexed by pattern vertex, valid until the
     iterator resumes: read it at once, copy it to keep it.  ``host`` needs
     only ``.n`` and ``.adj`` (a sequence of sets), so callers can pass mutable
-    working graphs.  ``fixed`` pins the ends of one pattern edge onto a host
-    edge the caller has checked is present, so the pinned pair is not
-    rechecked here.  The search is depth-first with an explicit stack of
+    working graphs.  ``fixed`` pins pattern vertices onto distinct host
+    vertices; no pattern edge between two pinned vertices is checked, so a
+    caller that pins an edge's ends must check the host edge itself.  The
+    search is depth-first in matching order with an explicit stack of
     candidate iterators; candidates are tried in ascending order.
     """
     fixed = fixed or {}
-    plan = _plan(pat, order, tuple(fixed))
+    plan = _plan(pat, tuple(fixed))
     adj = host.adj
     mapping = [-1] * pat.n
     used = [False] * host.n
@@ -166,12 +158,12 @@ def _iter_maps(
 
 def contains_copy(g, f: Pattern) -> bool:
     """True iff an injective edge-preserving map F -> G exists."""
-    return f.s <= g.n and any(True for _ in _iter_maps(f.graph, f.order, g))
+    return f.s <= g.n and any(True for _ in _iter_maps(f.graph, g))
 
 
 def count_injective_maps(g, f: Pattern) -> int:
     """Number of injective edge-preserving maps V(F) -> V(G)."""
-    return sum(1 for _ in _iter_maps(f.graph, f.order, g))
+    return sum(1 for _ in _iter_maps(f.graph, g))
 
 
 def count_copies(g, f: Pattern) -> int:
@@ -222,6 +214,6 @@ def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
     if v not in g.adj[u]:
         raise ParameterError(f"edge ({u},{v}) not present in host")
     for a, b in f.anchors:
-        for mapping in _iter_maps(f.graph, f.order, g, fixed={a: u, b: v}):
+        for mapping in _iter_maps(f.graph, g, {a: u, b: v}):
             return CopyWitness(tuple(mapping))
     return None

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 from .bootstrap import ActivationTrace, _Work, closure
 from .errors import InternalError, ParameterError, PreconditionError
 from .graph import Graph, Seed, seed_rng
-from .patterns import Pattern, _iter_maps, contains_copy, copy_through_edge
+from .patterns import CopyWitness, Pattern, _iter_maps, contains_copy
 
 
 @dataclass
@@ -232,32 +232,37 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
     order, so the remainder is weakly (G,F)-saturated.
 
     The maps of F are counted once, up front; deleting e subtracts only the
-    maps through e, found by anchoring every oriented pattern edge on e.  An
+    maps through e, found by pinning every oriented pattern edge on e.  An
     injective map sends exactly one pattern edge onto e, in one orientation,
-    so each is subtracted once.  The remainder is G less the deleted edges.
+    so each is subtracted once.  The step's witness is the first of those
+    maps, pins taken in anchor order: that is ``copy_through_edge``'s copy,
+    since the pins of one Aut(F)-orbit succeed together, so the first pin
+    that succeeds is an anchor and every anchor before it failed.  The
+    remainder is G less the deleted edges.
     """
     rng = seed_rng(seed)
     work = _Work(g)
 
-    def count(pins) -> Counter:
+    def count(maps) -> Counter:
         # F's t edges go to t distinct host edges: |copies through e| * |Aut(F)|
         through: Counter = Counter()
-        for fixed in pins:
-            for mapping in _iter_maps(f.graph, f.order, work, fixed):
-                for x, y in f.graph.edge_set:
-                    a, b = mapping[x], mapping[y]
-                    through[(a, b) if a < b else (b, a)] += 1
+        for mapping in maps:
+            for x, y in f.graph.edge_set:
+                a, b = mapping[x], mapping[y]
+                through[(a, b) if a < b else (b, a)] += 1
         return through
 
-    through = count([None])  # one unpinned pass over every map
+    through = count(_iter_maps(f.graph, work))  # one unpinned pass over every map
     deletions: list = []
     while through:
         best = min(through.values())
         e = rng.choice(sorted(e for e, c in through.items() if c == best))
-        deletions.append((e, copy_through_edge(work, f, e)))
         u, v = e
-        through -= count({a: x, b: y} for a, b in f.graph.edge_set
-                         for x, y in ((u, v), (v, u)))  # drops zeros
+        maps = [tuple(mapping) for a, b in f.graph.edges()
+                for x, y in ((u, v), (v, u))
+                for mapping in _iter_maps(f.graph, work, {a: x, b: y})]
+        deletions.append((e, CopyWitness(maps[0])))
+        through -= count(maps)  # drops zeros
         work.remove(u, v)
     h = Graph(g.n, g.edge_set.difference(e for e, _ in deletions))
     lower = lower_bound_general(g, f) if g.n >= f.s else 0

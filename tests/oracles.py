@@ -12,7 +12,6 @@ from collections import Counter
 from wsat.bootstrap import (
     ActivationTrace,
     ClosureResult,
-    _try_edge,
     _Work,
     is_weakly_saturated,
 )
@@ -40,8 +39,11 @@ def closure_naive(host: Graph, f: Pattern, seed: Graph, scan_order=None) -> Clos
     while progress:
         progress = False
         for e in list(missing):
-            w = _try_edge(work, f, e)
-            if w is not None:
+            work.add(*e)
+            w = copy_through_edge(work, f, e)
+            if w is None:
+                work.remove(*e)
+            else:
                 steps.append((e, w))
                 missing.remove(e)
                 progress = True
@@ -83,7 +85,7 @@ def greedy_naive(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult:
         # edges to t distinct host edges, so each edge is counted
         # |copies through it| * |Aut(F)| times
         through: Counter = Counter()
-        for mapping in _iter_maps(f.graph, f.order, current):
+        for mapping in _iter_maps(f.graph, current):
             for x, y in f.graph.edge_set:
                 a, b = mapping[x], mapping[y]
                 through[(a, b) if a < b else (b, a)] += 1

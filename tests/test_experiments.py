@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ import wsat.graph
 from wsat import (
     ExperimentConfig,
     ExperimentReport,
+    Graph,
     ParameterError,
     SearchBudget,
     Seed,
@@ -22,6 +24,7 @@ from wsat import (
     neighborhood_property_check,
     normalize_pattern,
     run_experiment,
+    sample_gnp,
 )
 
 
@@ -194,6 +197,28 @@ def test_neighborhood_check_empty_host(k3):
     out = neighborhood_property_check(empty(8), k3, k=2, p=0.9)
     assert out["fraction_common_ge_floor"] == 0.0
     assert out["fraction_common_contains_clique"] == 0.0
+
+
+# vertex 7 of the last host is isolated
+NEIGHBORHOOD_HOSTS = [sample_gnp(n, p, Seed(s)) for n, p, s in
+                      [(9, 0.5, 1), (10, 0.7, 2), (11, 0.85, 3)]] + [
+    Graph(8, sample_gnp(7, 0.8, Seed(4)).edge_set)]
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+@pytest.mark.parametrize("host", range(len(NEIGHBORHOOD_HOSTS)))
+def test_neighborhood_clique_fraction_brute_force(s, host):
+    # for each pair, try every (s-2)-subset of the vertices adjacent to both
+    g = NEIGHBORHOOD_HOSTS[host]
+    pairs = list(combinations(range(g.n), 2))
+    hits = 0
+    for u, v in pairs:
+        common = [w for w in range(g.n) if w in g.adj[u] and w in g.adj[v]]
+        hits += any(all(g.has_edge(a, b) for a, b in combinations(c, 2))
+                    for c in combinations(common, s - 2))
+    out = neighborhood_property_check(g, normalize_pattern(complete(s)), k=2, p=0.5)
+    assert out["subsets_checked"] == len(pairs)
+    assert out["fraction_common_contains_clique"] == hits / len(pairs)
 
 
 def test_neighborhood_check_sampling_deterministic(k3):

@@ -57,6 +57,28 @@ def test_closed_form_range_errors():
             closed_form_wsat(q)
 
 
+@pytest.mark.parametrize("q", [
+    FormulaQuery("ks", n=5, s=1),  # s >= 2
+    FormulaQuery("ks", n=2, s=3),  # n >= s
+    FormulaQuery("ktt", n=5, t=0),  # t >= 1
+    FormulaQuery("ktt", n=5, t=3),  # n >= 3t - 3
+    FormulaQuery("kst", n=9, s=3, t=2),  # t > s
+    FormulaQuery("kst", n=5, s=2, t=4),  # n >= s + t
+    FormulaQuery("k2t", n=9, t=2),  # t >= 3
+    FormulaQuery("k2t", n=4, t=3),  # n >= t + 2
+    FormulaQuery("k1t", n=5, t=0),  # t >= 1
+    FormulaQuery("k1t", n=3, t=3),  # n >= t + 1
+])
+def test_closed_form_every_range_error(q):
+    with pytest.raises(RangeError, match=f"^{q.family} requires"):
+        closed_form_wsat(q)
+
+
+def test_closed_form_unknown_family():
+    with pytest.raises(ParameterError, match="unknown formula family 'kk'"):
+        closed_form_wsat(FormulaQuery("kk", n=5, s=3))
+
+
 def test_closed_forms_match_exact_solver(k3, k4, k13, k23):
     cases = [
         (FormulaQuery("ks", n=4, s=3), complete(4), k3),

@@ -17,6 +17,7 @@ from wsat import (
     build_named_graph,
     complete,
     complete_bipartite,
+    construct_random_host_saturator,
     cycle,
     decode_edge_list,
     density_m,
@@ -24,11 +25,12 @@ from wsat import (
     empty,
     encode_edge_list,
     matching,
+    normalize_pattern,
     path,
     sample_gnp,
     star,
 )
-from wsat.graph import cliques
+from wsat.patterns import _iter_maps
 from conftest import random_host
 
 
@@ -118,6 +120,35 @@ def test_codec_errors_carry_line_numbers():
         decode_edge_list("3 2\n0 1")  # header promises 2 edges
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("# header next\n3 1\n0 1 2", 3, "expected two integers"),
+    ("3 1\n\n0", 3, "expected two integers"),
+    ("3 x", 1, "non-integer token"),
+    ("3 1\n0 1.5", 2, "non-integer token"),
+    ("# comment\n-1 0", 2, "negative count in header"),
+    ("3 -1", 1, "negative count in header"),
+])
+def test_codec_malformed_lines(text, line, message):
+    with pytest.raises(GraphParseError, match=f"^line {line}: {message}") as exc:
+        decode_edge_list(text)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Graph(-1),
+    lambda: complete_bipartite(0, 2),
+    lambda: complete_bipartite(2, 0),
+    lambda: path(0),
+    lambda: cycle(2),
+    lambda: empty(0),
+    lambda: matching(0),
+    lambda: sample_gnp(0, 0.5, 0),
+])
+def test_families_below_minimum_size(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
 def test_codec_comments_ignored():
     g = decode_edge_list("# a star\n4 3\n0 1\n0 2  # inline\n0 3\n")
     assert g == star(3)
@@ -194,19 +225,25 @@ def test_codec_roundtrip_property(n, seed):
     assert decode_edge_list(encode_edge_list(g)) == g
 
 
+K3 = normalize_pattern(complete(3))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 9), st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 2**32),
        st.lists(st.integers(0, 8), unique=True), st.integers(0, 11))
 @example(n=6, p=0.9, seed=1, pool=[5, 0, 3], size=0)
 @example(n=6, p=0.9, seed=1, pool=[5, 0, 3], size=4)
-def test_cliques_match_brute_force(n, p, seed, pool, size):
+def test_first_clique_map_is_first_clique(n, p, seed, pool, size):
+    # K_size's matching order is 0..size-1 and candidates ascend, so the first
+    # map of K_size into G[pool] is pool's lexicographically first size-clique
     g = sample_gnp(n, p, Seed(seed))
-    pool = [v for v in pool if v < n]
-    want = [c for c in combinations(sorted(pool), size)
-            if all(g.has_edge(u, v) for u, v in combinations(c, 2))]
-    assert list(cliques(g, pool, size)) == want
+    sub, labels = g.induced(v for v in pool if v < n)
+    want = next((c for c in combinations(labels, size)
+                 if all(g.has_edge(u, v) for u, v in combinations(c, 2))), None)
+    first = next(_iter_maps(Graph(size, combinations(range(size), 2)), sub), None)
+    assert want == (None if first is None else tuple(labels[v] for v in first))
     with pytest.raises(ParameterError):
-        cliques(g, pool, -1 - size)
+        construct_random_host_saturator(g, K3, -1 - size)
 
 
 def test_invariant_checks_survive_optimize_flag():

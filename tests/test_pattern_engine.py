@@ -17,13 +17,14 @@ from wsat import (
     count_copies,
     count_injective_maps,
     cycle,
+    greedy_upper_bound,
     matching,
     normalize_pattern,
     path,
     sample_gnp,
     star,
 )
-from wsat.patterns import _iter_maps
+from wsat.patterns import _iter_maps, _matching_order
 from conftest import random_host, small_hosts
 
 
@@ -206,7 +207,7 @@ def _copy_through_edge_all_anchors(g, f, e):
     u, v = sorted(e)
     for a, b in sorted(f.graph.edge_set):
         for hu, hv in ((u, v), (v, u)):
-            for mapping in _iter_maps(f.graph, f.order, g, fixed={a: hu, b: hv}):
+            for mapping in _iter_maps(f.graph, g, {a: hu, b: hv}):
                 return CopyWitness(tuple(mapping[i] for i in range(f.s)))
     return None
 
@@ -244,6 +245,18 @@ def test_orbit_pruning_matches_all_anchor_loop(n, p, seed):
 
 
 @settings(max_examples=100, deadline=None)
+@given(small_hosts(7), st.sampled_from(sorted(ORBIT_PATTERNS)), st.integers(0, 2**32))
+def test_greedy_witnesses_are_copy_through_edge(g, name, seed):
+    # replay the deletions in the order greedy made them: each step's witness
+    # is the first copy through the deleted edge in the graph at that step
+    f = ORBIT_PATTERNS[name]
+    current = set(g.edge_set)
+    for e, w in reversed(greedy_upper_bound(g, f, seed).certificate[1].steps):
+        assert w == copy_through_edge(Graph(g.n, current), f, e)
+        current.remove(e)
+
+
+@settings(max_examples=100, deadline=None)
 @given(small_hosts(7), st.sampled_from(sorted(ORBIT_PATTERNS)))
 def test_matcher_contract_against_permutations(g, name):
     # the matcher yields one live map; snapshot each one as it is yielded
@@ -251,15 +264,17 @@ def test_matcher_contract_against_permutations(g, name):
     brute = [p for p in permutations(range(g.n), f.s)
              if all(p[b] in g.adj[p[a]] for a, b in f.graph.edge_set)]
     assert count_injective_maps(g, f) == len(brute)
-    maps = [tuple(m[i] for i in range(f.s)) for m in _iter_maps(f.graph, f.order, g)]
+    maps = [tuple(m[i] for i in range(f.s)) for m in _iter_maps(f.graph, g)]
     assert all(CopyWitness(m).validates(g, f) for m in maps)
     # candidates are tried in ascending order at each step, so the maps come
-    # in lexicographic order of the images of f.order, unpinned and pinned
-    brute.sort(key=lambda p: [p[v] for v in f.order])
+    # in lexicographic order of the images of the matching order, unpinned
+    # and pinned
+    order = _matching_order(f.graph)
+    brute.sort(key=lambda p: [p[v] for v in order])
     assert maps == brute
     for a, b in f.anchors:
         for u, v in g.edges():
             for hu, hv in ((u, v), (v, u)):
                 pinned = [tuple(m[i] for i in range(f.s)) for m in
-                          _iter_maps(f.graph, f.order, g, fixed={a: hu, b: hv})]
+                          _iter_maps(f.graph, g, {a: hu, b: hv})]
                 assert pinned == [p for p in brute if (p[a], p[b]) == (hu, hv)]

@@ -94,6 +94,20 @@ def test_random_host_constructions_pinned():
         "259aeaab68ef898fe5f70abdc394561e255d57ec3955382a90d0b93ede57bf2f")
 
 
+def test_random_host_constructions_other_clique_sizes_pinned():
+    # m = 0 takes the empty clique, m = 1 the lowest vertex, and m = 4 the
+    # lexicographically first 4-clique; their failures are pinned too
+    out = []
+    for n, p, s in HOSTS:
+        g = sample_gnp(n, p, Seed(s))
+        for f in (K3, C4):
+            for m in (0, 1, 4):
+                out.append(_outcome(
+                    lambda: construct_random_host_saturator(g, f, m, Seed(s))))
+    assert _sha("".join(out)) == (
+        "8d6a175ca752a548f6a5b4505342e51036073f1103e9cb6f02b7ff9c48cc8d51")
+
+
 # (n, p, sampling seed) of each G(n,p) host handed to greedy, which is run
 # with two seeds per host; the pin covers the result, its certificate edges
 # and every (edge, witness) step of its trace
@@ -148,6 +162,14 @@ CLI_PINS = {
     "count-gnp-K4": (
         ["count", "--host", "gnp:25,0.5", "--pattern", "complete:4", "--seed", "7"],
         "93ab97ffb95229af8bb8c6f0985ab74416b52a4fa80b5850fda3febc16dfd810"),
+    "neighborhood-gnp30-K4": (
+        ["experiment", "neighborhood", "--pattern", "complete:4", "--host", "gnp:30,0.5",
+         "--k", "2", "--p", "0.5"],
+        "ea711d7cbe7de4e70b00fe2aa52d70d804021ad618c3794cb26047cb38132054"),
+    "neighborhood-gnp40-K5": (
+        ["experiment", "neighborhood", "--pattern", "complete:5", "--host", "gnp:40,0.7",
+         "--k", "2", "--p", "0.5"],
+        "cd0e9f2375d558102a4c93e9636cbf449918b936ad981063ecfc2a9399095efa"),
 }
 
 
