@@ -171,6 +171,9 @@ def cmd_formula(args) -> int:
 def cmd_construct(args) -> int:
     seed = args.rng_seed
     f = parse_pattern_arg(args.pattern)
+    least = 1 if args.method == "complete" else 0
+    if args.m is not None and args.m < least:
+        raise ParameterError(f"--m must be at least {least}")
     if args.method == "complete":
         m = args.m if args.m is not None else max(f.delta - 1, 1)
         if args.core:

@@ -9,8 +9,10 @@ input is always the same.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
+from math import prod
 from typing import Optional
 
 from .errors import InternalError, ParameterError
@@ -23,7 +25,10 @@ class Pattern:
 
     Isolated vertices are stripped by :func:`normalize_pattern` (they do not
     affect weak saturation), so ``delta >= 1`` always holds.  The matcher
-    works out its own vertex order from ``graph``.
+    works out its own vertex order from ``graph``.  ``breaks`` holds pairs
+    (b, w) for "map(b) < map(w)", under which an unpinned search yields one
+    map per copy: w runs over b's orbit under the automorphisms fixing the
+    vertices before b in matching order.
     """
 
     graph: Graph
@@ -37,6 +42,8 @@ class Pattern:
     # Anchors in one orbit are carried onto each other by an automorphism of
     # F, so an anchored search succeeds for all of them or for none.
     anchors: tuple[tuple[int, int], ...]
+
+    breaks: tuple[tuple[int, int], ...]
 
 
 def _matching_order(g: Graph) -> tuple[int, ...]:
@@ -72,11 +79,17 @@ def normalize_pattern(f: Graph) -> Pattern:
     # Aut(F) is a group, so an anchor's orbit is its set of images; label
     # each anchor with the first index in its orbit
     orbit = list(range(len(oriented)))
+    # sigma fixes the base points before the first one it moves, b: sigma(b)
+    # is in b's orbit under their stabilizer, and every such image arises
+    base = _matching_order(f)
+    base_orbit = {b: {b} for b in base}
     aut = 0
     for sigma in _iter_maps(f, f):
         aut += 1
         for i, (a, b) in enumerate(oriented):
             orbit[i] = min(orbit[i], index[sigma[a], sigma[b]])
+        b = next((b for b in base if sigma[b] != b), base[0])
+        base_orbit[b].add(sigma[b])
     return Pattern(
         graph=f,
         s=f.n,
@@ -84,6 +97,7 @@ def normalize_pattern(f: Graph) -> Pattern:
         delta=f.min_degree(),
         aut=aut,
         anchors=tuple(ab for i, ab in enumerate(oriented) if orbit[i] == i),
+        breaks=tuple((b, w) for b in base for w in sorted(base_orbit[b] - {b})),
     )
 
 
@@ -104,7 +118,7 @@ def _plan(pat: Graph, pinned: tuple[int, ...]) -> tuple:
     return tuple(plan)
 
 
-def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None):
+def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None, breaks=()):
     """Yield injective edge-preserving maps V(pat) -> V(host), the library's
     one subgraph search.
 
@@ -116,6 +130,9 @@ def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None):
     caller that pins an edge's ends must check the host edge itself.  The
     search is depth-first in matching order with an explicit stack of
     candidate iterators; candidates are tried in ascending order.
+
+    ``breaks`` (unpinned searches only, e.g. ``Pattern.breaks``) keeps only
+    maps with map(b) < map(w) for each pair (b, w): a lower bound on w's pool.
     """
     fixed = fixed or {}
     plan = _plan(pat, tuple(fixed))
@@ -129,14 +146,24 @@ def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None):
         yield mapping
         return
 
-    def pool(nbrs):
+    def pool(nbrs):  # candidates for a vertex with these placed neighbours
         if not nbrs:
-            return iter(range(host.n))
-        return iter(sorted(adj[mapping[nbrs[0]]].intersection(
-            *[adj[mapping[pu]] for pu in nbrs[1:]])))
+            return range(host.n)
+        return sorted(adj[mapping[nbrs[0]]].intersection(
+            *[adj[mapping[pu]] for pu in nbrs[1:]]))
+
+    if breaks:  # b is placed before w; a local plan lists the b of each w
+        plan = [(pv, (nbrs, [b for b, w in breaks if w == pv]), deg)
+                for pv, nbrs, deg in plan]
+        unbounded = pool
+
+        def pool(nbrs_lows):
+            cands = unbounded(nbrs_lows[0])
+            lo = max([mapping[b] + 1 for b in nbrs_lows[1]], default=0)
+            return cands[bisect_left(cands, lo):] if lo else cands
 
     last = len(plan) - 1
-    stack = [pool(plan[0][1])]
+    stack = [iter(pool(plan[0][1]))]
     while stack:
         i = len(stack) - 1
         pv, _, deg = plan[i]
@@ -153,7 +180,7 @@ def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None):
             yield mapping
         else:
             used[hv] = True
-            stack.append(pool(plan[i + 1][1]))
+            stack.append(iter(pool(plan[i + 1][1])))
 
 
 def contains_copy(g, f: Pattern) -> bool:
@@ -167,11 +194,12 @@ def count_injective_maps(g, f: Pattern) -> int:
 
 
 def count_copies(g, f: Pattern) -> int:
-    """Number of subgraphs of G isomorphic to F (injective maps / |Aut(F)|)."""
-    total = count_injective_maps(g, f)
-    if total % f.aut:
-        raise InternalError(f"{total} maps is not a multiple of |Aut(F)| = {f.aut}")
-    return total // f.aut
+    """Number of subgraphs of G isomorphic to F: the maps that satisfy
+    ``f.breaks``, one per copy (equal to injective maps / |Aut(F)|)."""
+    orbits = prod(1 + [b for b, _ in f.breaks].count(v) for v in range(f.s))
+    if orbits != f.aut:
+        raise InternalError(f"base orbits multiply to {orbits}, not |Aut(F)| = {f.aut}")
+    return sum(1 for _ in _iter_maps(f.graph, g, breaks=f.breaks))
 
 
 @dataclass(frozen=True)

@@ -231,8 +231,9 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
     F-free, and replaying the deletions in reverse is a valid saturation
     order, so the remainder is weakly (G,F)-saturated.
 
-    The maps of F are counted once, up front; deleting e subtracts only the
-    maps through e, found by pinning every oriented pattern edge on e.  An
+    The maps of F are counted once, up front, as one map per copy (under
+    ``f.breaks``) weighted |Aut(F)|; deleting e subtracts only the maps
+    through e, found by pinning every oriented pattern edge on e.  An
     injective map sends exactly one pattern edge onto e, in one orientation,
     so each is subtracted once.  The step's witness is the first of those
     maps, pins taken in anchor order: that is ``copy_through_edge``'s copy,
@@ -243,16 +244,16 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
     rng = seed_rng(seed)
     work = _Work(g)
 
-    def count(maps) -> Counter:
+    def count(maps, weight: int) -> Counter:
         # F's t edges go to t distinct host edges: |copies through e| * |Aut(F)|
         through: Counter = Counter()
         for mapping in maps:
             for x, y in f.graph.edge_set:
                 a, b = mapping[x], mapping[y]
-                through[(a, b) if a < b else (b, a)] += 1
+                through[(a, b) if a < b else (b, a)] += weight
         return through
 
-    through = count(_iter_maps(f.graph, work))  # one unpinned pass over every map
+    through = count(_iter_maps(f.graph, work, breaks=f.breaks), f.aut)  # one per copy
     deletions: list = []
     while through:
         best = min(through.values())
@@ -262,7 +263,7 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
                 for x, y in ((u, v), (v, u))
                 for mapping in _iter_maps(f.graph, work, {a: x, b: y})]
         deletions.append((e, CopyWitness(maps[0])))
-        through -= count(maps)  # drops zeros
+        through -= count(maps, 1)  # drops zeros
         work.remove(u, v)
     h = Graph(g.n, g.edge_set.difference(e for e, _ in deletions))
     lower = lower_bound_general(g, f) if g.n >= f.s else 0

@@ -238,6 +238,10 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
     (["experiment", "sandwich", "--pattern", "complete:3", "--n", "0"], "", False),
     (["construct", "random", "--pattern", "complete:3",
       "--host", "complete:17", "--m", "-1"], "", False),
+    (["construct", "random", "--pattern", "complete:3",
+      "--host", "gnp:8,0.5", "--m", "-1"], "", False),
+    (["construct", "complete", "--pattern", "complete:3", "--n", "7", "--m", "-1"], "", False),
+    (["construct", "complete", "--pattern", "complete:3", "--n", "7", "--m", "0"], "", False),
     (NEIGHBORHOOD + ["--cap", "0"], "", False),
     (["solve", "--host", "complete:4", "--pattern", "complete:3",
       "--budget-seconds", "nan"], "", False),
@@ -277,7 +281,7 @@ VERIFY = ["verify", "--host", "complete:4", "--pattern", "complete:3",
     (["experiment", "--mode", "scan", "--pattern", "complete:3", "--n", "5"], "", True),
     (["construct", "--method", "complete", "--pattern", "complete:3", "--n", "7"], "", True),
 ], ids=["bad-int", "bad-float", "zero-budget", "bad-pgrid", "experiment-n-zero",
-        "negative-clique",
+        "negative-clique", "negative-clique-gnp", "negative-core", "empty-core",
         "cap-zero", "nan-budget", "negative-greedy-repeats", "formula-unused-t",
         "trace-not-json", "trace-missing-edge", "trace-not-list",
         "trace-str-witness", "trace-float-edge", "trace-bool-edge",
@@ -299,6 +303,8 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, trace, unknown_flag):
     else:
         code, out, err = run(capsys, *argv)
         assert err.startswith("error:")
+        if argv[0] == "construct":
+            assert "--m" in err
     assert code == 2 and out == ""
 
 

@@ -278,3 +278,67 @@ def test_matcher_contract_against_permutations(g, name):
                 pinned = [tuple(m[i] for i in range(f.s)) for m in
                           _iter_maps(f.graph, g, {a: hu, b: hv})]
                 assert pinned == [p for p in brute if (p[a], p[b]) == (hu, hv)]
+
+
+# -- one map per copy: symmetry-breaking pairs ------------------------------
+
+BREAK_PATTERNS = ORBIT_PATTERNS | {
+    "C5": normalize_pattern(cycle(5)),
+    # given with vertex 1 isolated: a triangle with a pendant edge, Aut = 2
+    "paw+K1": normalize_pattern(Graph(5, [(0, 2), (2, 3), (0, 3), (3, 4)])),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_hosts(7))
+def test_count_copies_one_map_per_copy(g):
+    # three routes: maps under the breaks, all maps / |Aut|, and brute force
+    for f in BREAK_PATTERNS.values():
+        copies = count_copies(g, f)
+        assert copies * f.aut == count_injective_maps(g, f)
+        assert copies == _count_copies_oracle(g, f)
+
+
+def test_break_orbits_multiply_to_aut():
+    for name, f in BREAK_PATTERNS.items():
+        # independent of the matcher: the vertex permutations fixing E(F),
+        # and each base point's orbit under those fixing the earlier ones
+        edges = f.graph.edge_set
+        autos = [sigma for sigma in permutations(range(f.s))
+                 if {tuple(sorted((sigma[a], sigma[b]))) for a, b in edges} == edges]
+        base = _matching_order(f.graph)
+        want, size = [], 1
+        for i, b in enumerate(base):
+            orbit = {sigma[b] for sigma in autos
+                     if all(sigma[x] == x for x in base[:i])}
+            want += [(b, w) for w in sorted(orbit - {b})]
+            size *= len(orbit)
+        assert list(f.breaks) == want, name
+        assert size == f.aut, name
+
+
+def test_count_copies_closed_forms():
+    # wrong breaks show at once on complete hosts
+    assert count_copies(complete(12), normalize_pattern(complete(4))) == 495
+    assert count_copies(complete(10), normalize_pattern(cycle(4))) == 630
+    assert count_copies(complete(8), normalize_pattern(complete_bipartite(2, 3))) == 560
+
+
+def test_greedy_and_counts_pinned():
+    # the SHA-256 of greedy's results (certificate edges and trace witnesses)
+    # and of count_copies over a fixed host set, recorded when greedy's first
+    # pass still enumerated every map of F
+    import hashlib
+    import json
+
+    digest = hashlib.sha256()
+    for n, p in [(8, 0.5), (10, 0.7), (12, 0.5)]:
+        for s in range(2):
+            g = sample_gnp(n, p, Seed(1000 * n + s))
+            for name, f in BREAK_PATTERNS.items():
+                r = greedy_upper_bound(g, f, s)
+                digest.update(json.dumps(
+                    [name, n, p, s, count_copies(g, f), r.as_dict(),
+                     r.certificate[1].to_json()], sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "16a2269d56c4ce2ecb08cef76e07a4e33ecf14a1c0af4a8a9dee0accc0289586")
