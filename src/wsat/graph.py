@@ -27,13 +27,9 @@ from itertools import combinations
 from random import Random
 from typing import Iterable
 
-from .errors import GraphParseError, InternalError, ParameterError, UndefinedDensityError
+from .errors import GraphParseError, ParameterError, UndefinedDensityError
 
 Edge = tuple[int, int]
-
-
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 class Graph:
@@ -51,7 +47,7 @@ class Graph:
                 raise ParameterError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"edge ({u},{v}) out of range for n={n}")
-            e = _norm_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in es:
                 raise ParameterError(f"duplicate edge {e}")
             es.add(e)
@@ -69,17 +65,11 @@ class Graph:
         """Edges in sorted order."""
         return sorted(self.edge_set)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edge_set
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def min_degree(self) -> int:
         return min((len(s) for s in self.adj), default=0)
-
-    def with_edges(self, extra: Iterable[Edge]) -> "Graph":
-        return Graph(self.n, set(self.edge_set) | {_norm_edge(u, v) for u, v in extra})
 
     def is_spanning_subgraph_of(self, other: "Graph") -> bool:
         return self.n == other.n and self.edge_set <= other.edge_set
@@ -103,17 +93,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m_edges})"
-
-    def validate(self) -> None:
-        """Re-check symmetry and loop-freeness over all pairs (test hook)."""
-        for v in range(self.n):
-            if v in self.adj[v]:
-                raise InternalError(f"loop at {v}")
-            for u in self.adj[v]:
-                if v not in self.adj[u]:
-                    raise InternalError(f"asymmetric pair ({u},{v})")
-        if 2 * self.m_edges != sum(len(s) for s in self.adj):
-            raise InternalError("edge count disagrees with the adjacency sets")
 
 
 @dataclass(frozen=True)
@@ -148,7 +127,10 @@ def derive_seed(master: int, *indices: int) -> int:
 def common_neighbors(g: Graph, vertices: Iterable[int]) -> list[int]:
     """Ascending list of the vertices outside ``vertices`` adjacent to all of them."""
     vs = set(vertices)
-    return sorted(set(range(g.n)).intersection(*(g.adj[v] for v in vs)) - vs)
+    if not vs:
+        return list(range(g.n))
+    first, *rest = [g.adj[v] for v in vs]
+    return sorted(first.intersection(*rest))  # no vertex neighbours itself
 
 
 # -- named families ----------------------------------------------------------
@@ -270,7 +252,7 @@ def decode_edge_list(text: str) -> Graph:
             raise GraphParseError(f"loop at vertex {a}", lineno)
         if not (0 <= a < n and 0 <= b < n):
             raise GraphParseError(f"vertex index out of range in ({a},{b})", lineno)
-        e = _norm_edge(a, b)
+        e = (a, b) if a < b else (b, a)
         if e in seen:
             raise GraphParseError(f"duplicate edge {e}", lineno)
         seen.add(e)

@@ -129,7 +129,10 @@ def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None, breaks=())
     vertices; no pattern edge between two pinned vertices is checked, so a
     caller that pins an edge's ends must check the host edge itself.  The
     search is depth-first in matching order with an explicit stack of
-    candidate iterators; candidates are tried in ascending order.
+    candidate iterators; candidates are tried in ascending order.  A
+    vertex's pool is the sorted host neighbourhood of its one placed
+    neighbour, or one ``&`` of two, or one intersection of three or more;
+    with none placed it is every host vertex.
 
     ``breaks`` (unpinned searches only, e.g. ``Pattern.breaks``) keeps only
     maps with map(b) < map(w) for each pair (b, w): a lower bound on w's pool.
@@ -149,8 +152,12 @@ def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None, breaks=())
     def pool(nbrs):  # candidates for a vertex with these placed neighbours
         if not nbrs:
             return range(host.n)
-        return sorted(adj[mapping[nbrs[0]]].intersection(
-            *[adj[mapping[pu]] for pu in nbrs[1:]]))
+        first = adj[mapping[nbrs[0]]]
+        if len(nbrs) == 1:  # .intersection() of nothing would copy the set
+            return sorted(first)
+        if len(nbrs) == 2:
+            return sorted(first & adj[mapping[nbrs[1]]])
+        return sorted(first.intersection(*[adj[mapping[pu]] for pu in nbrs[1:]]))
 
     if breaks:  # b is placed before w; a local plan lists the b of each w
         plan = [(pv, (nbrs, [b for b, w in breaks if w == pv]), deg)
@@ -209,22 +216,22 @@ class CopyWitness:
     mapping: tuple[int, ...]
 
     def validates(self, g, f: Pattern, through: Edge | None = None) -> bool:
+        """True iff the mapping sends V(F) injectively into V(G) and each
+        edge of F onto an edge of G, and, given ``through``, some edge of F
+        onto that pair in either orientation.  The image pairs are built
+        once and serve both checks."""
         m = self.mapping
-        if len(m) != f.s or len(set(m)) != f.s:
+        if len(m) != f.s or len(set(m)) != f.s or min(m) < 0 or max(m) >= g.n:
             return False
-        if any(not (0 <= v < g.n) for v in m):
-            return False
-        for a, b in f.graph.edge_set:
-            if m[b] not in g.adj[m[a]]:
+        pairs = [(m[a], m[b]) for a, b in f.graph.edge_set]
+        adj = g.adj
+        for x, y in pairs:
+            if y not in adj[x]:
                 return False
-        if through is not None:
-            u, v = through
-            covered = any(
-                {m[a], m[b]} == {u, v} for a, b in f.graph.edge_set
-            )
-            if not covered:
-                return False
-        return True
+        if through is None:
+            return True
+        u, v = through
+        return (u, v) in pairs or (v, u) in pairs
 
 
 def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:

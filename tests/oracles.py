@@ -1,4 +1,5 @@
-"""Reference implementations the tests check the engine against.
+"""Reference implementations the tests check the engine against, and
+``validate``, a full re-check of a graph's adjacency sets.
 
 All are deliberately unoptimized: ``closure_naive`` rescans every missing
 edge after each addition, ``wsat_exact_naive`` tries every edge subset in
@@ -15,11 +16,38 @@ from wsat.bootstrap import (
     _Work,
     is_weakly_saturated,
 )
-from wsat.errors import PreconditionError
+from wsat.errors import InternalError, PreconditionError
 from wsat.graph import Edge, Graph, Seed, seed_rng
 from wsat.patterns import (
     CopyWitness, Pattern, _iter_maps, contains_copy, copy_through_edge)
 from wsat.solver import WsatResult, lower_bound_general
+
+
+def validate(g: Graph) -> None:
+    """Re-check a graph's adjacency sets over all pairs: loop-free,
+    symmetric, and agreeing with its edge count."""
+    for v in range(g.n):
+        if v in g.adj[v]:
+            raise InternalError(f"loop at {v}")
+        for u in g.adj[v]:
+            if v not in g.adj[u]:
+                raise InternalError(f"asymmetric pair ({u},{v})")
+    if 2 * g.m_edges != sum(len(s) for s in g.adj):
+        raise InternalError("edge count disagrees with the adjacency sets")
+
+
+def validates_naive(mapping, g: Graph, f: Pattern, through=None) -> bool:
+    """``CopyWitness.validates`` by its definition: s distinct host vertices,
+    every edge of F sent onto a host edge, and, given ``through``, some edge
+    of F sent onto that unordered pair."""
+    if len(mapping) != f.s or len(set(mapping)) != f.s:
+        return False
+    if not all(v in range(g.n) for v in mapping):
+        return False
+    images = [frozenset((mapping[a], mapping[b])) for a, b in f.graph.edges()]
+    if not all(tuple(sorted(e)) in g.edge_set for e in images):
+        return False
+    return through is None or frozenset(through) in images
 
 
 def closure_naive(host: Graph, f: Pattern, seed: Graph, scan_order=None) -> ClosureResult:

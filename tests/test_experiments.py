@@ -214,7 +214,7 @@ def test_neighborhood_clique_fraction_brute_force(s, host):
     hits = 0
     for u, v in pairs:
         common = [w for w in range(g.n) if w in g.adj[u] and w in g.adj[v]]
-        hits += any(all(g.has_edge(a, b) for a, b in combinations(c, 2))
+        hits += any(all((a, b) in g.edge_set for a, b in combinations(c, 2))
                     for c in combinations(common, s - 2))
     out = neighborhood_property_check(g, normalize_pattern(complete(s)), k=2, p=0.5)
     assert out["subsets_checked"] == len(pairs)

@@ -32,14 +32,15 @@ from wsat import (
 )
 from wsat.patterns import _iter_maps
 from conftest import random_host
+from oracles import validate
 
 
 def test_named_families():
     assert complete(4).m_edges == 6
     g = complete_bipartite(2, 3)
     assert g.m_edges == 6
-    assert all(g.has_edge(i, j) for i in (0, 1) for j in (2, 3, 4))
-    assert not g.has_edge(0, 1) and not g.has_edge(2, 3)
+    assert all((i, j) in g.edge_set for i in (0, 1) for j in (2, 3, 4))
+    assert (0, 1) not in g.edge_set and (2, 3) not in g.edge_set
     s = star(3)
     assert s.n == 4 and s.m_edges == 3 and s.degree(0) == 3
     assert path(5).m_edges == 4
@@ -68,10 +69,22 @@ def test_graph_rejects_loops_and_duplicates():
         Graph(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("n,edges,message", [
+    (3, [(0, 0)], "loop at vertex 0"),
+    (3, [(0, 1), (-1, 2)], "edge (-1,2) out of range for n=3"),
+    (5, [(5, 0)], "edge (5,0) out of range for n=5"),  # in input order
+    (3, [(0, 1), (2, 1), (1, 0)], "duplicate edge (0, 1)"),  # normalised
+])
+def test_graph_constructor_messages(n, edges, message):
+    with pytest.raises(ParameterError) as exc:
+        Graph(n, edges)
+    assert str(exc.value) == message
+
+
 def test_all_constructed_graphs_validate():
     for g in [complete(6), complete_bipartite(3, 4), star(5), path(6),
               cycle(6), empty(4), matching(4)]:
-        g.validate()
+        validate(g)
 
 
 def test_gnp_extremes():
@@ -94,7 +107,7 @@ def test_gnp_determinism_over_many_seeds():
         g1 = sample_gnp(n, p, Seed(master))
         g2 = sample_gnp(n, p, Seed(master))
         assert g1 == g2
-        g1.validate()
+        validate(g1)
 
 
 def test_gnp_stream_changes_sample():
@@ -239,7 +252,7 @@ def test_first_clique_map_is_first_clique(n, p, seed, pool, size):
     g = sample_gnp(n, p, Seed(seed))
     sub, labels = g.induced(v for v in pool if v < n)
     want = next((c for c in combinations(labels, size)
-                 if all(g.has_edge(u, v) for u, v in combinations(c, 2))), None)
+                 if all((u, v) in g.edge_set for u, v in combinations(c, 2))), None)
     first = next(_iter_maps(Graph(size, combinations(range(size), 2)), sub), None)
     assert want == (None if first is None else tuple(labels[v] for v in first))
     with pytest.raises(ParameterError):
@@ -251,18 +264,19 @@ def test_invariant_checks_survive_optimize_flag():
     script = """
 import dataclasses
 from wsat import Graph, InternalError, complete, count_copies, normalize_pattern
+from oracles import validate
 assert False, "stripped under -O"
 g = Graph(3, [(0, 1)])
 g.adj = (frozenset({1}), frozenset(), frozenset())
 bad_aut = dataclasses.replace(normalize_pattern(complete(3)), aut=4)
-for check in (g.validate, lambda: count_copies(complete(3), bad_aut)):
+for check in (lambda: validate(g), lambda: count_copies(complete(3), bad_aut)):
     try:
         check()
     except InternalError as exc:
         print("raised:", exc)
 """
     src = os.path.dirname(os.path.dirname(sys.modules["wsat"].__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr

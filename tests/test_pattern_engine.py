@@ -1,8 +1,8 @@
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsat import (
@@ -26,6 +26,7 @@ from wsat import (
 )
 from wsat.patterns import _iter_maps, _matching_order
 from conftest import random_host, small_hosts
+from oracles import validates_naive
 
 
 def test_normalize_strips_isolated_vertices():
@@ -70,7 +71,7 @@ def test_contains_copy_examples(k3, p3):
 
 
 def test_copy_through_edge_examples(k3, k13):
-    g = star(3).with_edges([(1, 2)])
+    g = Graph(4, star(3).edge_set | {(1, 2)})
     w = copy_through_edge(g, k3, (1, 2))
     assert w is not None and w.validates(g, k3, through=(1, 2))
     assert set(w.mapping) == {0, 1, 2}
@@ -118,7 +119,7 @@ def _count_copies_oracle(g: Graph, f) -> int:
     found = set()
     for sub in combinations(range(g.n), f.s):
         for perm in permutations(sub):
-            if all(g.has_edge(perm[a], perm[b]) for a, b in pat_edges):
+            if all(perm[b] in g.adj[perm[a]] for a, b in pat_edges):
                 image = frozenset(
                     (min(perm[a], perm[b]), max(perm[a], perm[b]))
                     for a, b in pat_edges
@@ -164,7 +165,7 @@ def test_witness_absent_means_no_copy_uses_edge(k3, p3):
             for e in g.edges():
                 w = copy_through_edge(g, f, e)
                 uses = any(
-                    all(g.has_edge(p[a], p[b]) for a, b in f.graph.edges())
+                    all(p[b] in g.adj[p[a]] for a, b in f.graph.edges())
                     and any({p[a], p[b]} == set(e) for a, b in f.graph.edges())
                     for sub in combinations(range(g.n), f.s)
                     for p in perms(sub)
@@ -182,7 +183,7 @@ def test_count_monotone_under_edge_addition(k3, p3):
         missing = sorted(set(complete(7).edge_set) - g.edge_set)
         if not missing:
             continue
-        g2 = g.with_edges([rng.choice(missing)])
+        g2 = Graph(g.n, g.edge_set | {rng.choice(missing)})
         for f in (k3, p3):
             assert count_copies(g, f) <= count_copies(g2, f)
 
@@ -256,28 +257,116 @@ def test_greedy_witnesses_are_copy_through_edge(g, name, seed):
         current.remove(e)
 
 
+def _check_matcher_contract(g, f, brute):
+    """The matcher against ``brute``, every map of F into g as a tuple:
+    unpinned, pinned on every anchor in both orientations of every host
+    edge, and under ``f.breaks``."""
+    assert count_injective_maps(g, f) == len(brute)
+    # the matcher yields one live map; snapshot each one as it is yielded
+    maps = [tuple(m) for m in _iter_maps(f.graph, g)]
+    assert all(CopyWitness(m).validates(g, f) for m in maps)
+    # candidates are tried in ascending order at each step, so the maps come
+    # in lexicographic order of the images of the matching order, unpinned,
+    # pinned and under the breaks
+    order = _matching_order(f.graph)
+    brute = sorted(brute, key=lambda p: [p[v] for v in order])
+    assert maps == brute
+    for a, b in f.anchors:
+        by_pin = {}
+        for p in brute:
+            by_pin.setdefault((p[a], p[b]), []).append(p)
+        for u, v in g.edges():
+            for hu, hv in ((u, v), (v, u)):
+                pinned = [tuple(m) for m in _iter_maps(f.graph, g, {a: hu, b: hv})]
+                assert pinned == by_pin.get((hu, hv), [])
+    canonical = [tuple(m) for m in _iter_maps(f.graph, g, breaks=f.breaks)]
+    assert canonical == [p for p in brute if all(p[b] < p[w] for b, w in f.breaks)]
+    assert count_copies(g, f) * f.aut == len(brute)
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_hosts(7), st.sampled_from(sorted(ORBIT_PATTERNS)))
 def test_matcher_contract_against_permutations(g, name):
-    # the matcher yields one live map; snapshot each one as it is yielded
     f = ORBIT_PATTERNS[name]
     brute = [p for p in permutations(range(g.n), f.s)
              if all(p[b] in g.adj[p[a]] for a, b in f.graph.edge_set)]
-    assert count_injective_maps(g, f) == len(brute)
-    maps = [tuple(m[i] for i in range(f.s)) for m in _iter_maps(f.graph, g)]
-    assert all(CopyWitness(m).validates(g, f) for m in maps)
-    # candidates are tried in ascending order at each step, so the maps come
-    # in lexicographic order of the images of the matching order, unpinned
-    # and pinned
-    order = _matching_order(f.graph)
-    brute.sort(key=lambda p: [p[v] for v in order])
-    assert maps == brute
-    for a, b in f.anchors:
-        for u, v in g.edges():
-            for hu, hv in ((u, v), (v, u)):
-                pinned = [tuple(m[i] for i in range(f.s)) for m in
-                          _iter_maps(f.graph, g, {a: hu, b: hv})]
-                assert pinned == [p for p in brute if (p[a], p[b]) == (hu, hv)]
+    _check_matcher_contract(g, f, brute)
+
+
+K5 = normalize_pattern(complete(5))
+
+
+@st.composite
+def near_clique_hosts(draw):
+    """Hosts on up to 12 vertices: a 5- to 7-vertex core missing at most 3
+    of its pairs, plus up to 6 other edges.  Labels run past 8, so a small
+    set of them need not iterate in ascending order."""
+    n = draw(st.integers(5, 12))
+    core = draw(st.lists(st.integers(0, n - 1), min_size=5, max_size=7, unique=True))
+    pairs = sorted((min(e), max(e)) for e in combinations(core, 2))
+    drop = draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True))
+    extra = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=6))
+    return Graph(n, (set(pairs) - set(drop)) | set(extra))
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_clique_hosts())
+@example(Graph(12, combinations((1, 3, 8, 9, 11), 2)))
+@example(Graph(12, set(combinations((2, 4, 5, 9, 10, 11), 2)) - {(4, 9)} | {(0, 1)}))
+def test_matcher_contract_k5(g):
+    # a K5 vertex placed fourth has four placed neighbours: the general pool;
+    # the maps of K5 are the orderings of the 5-cliques
+    brute = [p for c in combinations(range(g.n), 5)
+             if all(v in g.adj[u] for u, v in combinations(c, 2))
+             for p in permutations(c)]
+    _check_matcher_contract(g, K5, brute)
+
+
+@st.composite
+def witness_cases(draw):
+    """(host, pattern, mapping, through).  Hosts are complete graphs less at
+    most 4 edges, so F has maps into most of them.  Half the mappings are
+    real maps of F, half of those using the top host vertex and with it
+    written -1, which a negative index would wrap onto; the rest have any
+    length and entries in [-1, n].  ``through`` is None, a host edge, the
+    image of a pattern edge (either orientation, when the mapping is long
+    enough), or any pair."""
+    n = draw(st.integers(2, 6))
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, set(pairs) - set(draw(st.lists(st.sampled_from(pairs), max_size=4))))
+    f = ORBIT_PATTERNS[draw(st.sampled_from(sorted(ORBIT_PATTERNS)))]
+    maps = [tuple(m) for m in _iter_maps(f.graph, g)]
+    if maps and draw(st.booleans()):
+        top = [m for m in maps if n - 1 in m]
+        if top and draw(st.booleans()):
+            m = tuple(-1 if v == n - 1 else v for v in draw(st.sampled_from(top)))
+        else:
+            m = draw(st.sampled_from(maps))
+    else:
+        m = tuple(draw(st.lists(st.integers(-1, g.n), max_size=f.s + 1)))
+    images = [(m[a], m[b]) for a, b in f.graph.edge_set if max(a, b) < len(m)]
+    kind = draw(st.sampled_from(["none", "host", "image", "any"]))
+    pairs = {"host": g.edges(), "image": images}.get(kind)
+    if kind == "any":
+        return g, f, m, (draw(st.integers(-1, g.n)), draw(st.integers(-1, g.n)))
+    if not pairs:
+        return g, f, m, None
+    u, v = draw(st.sampled_from(pairs))
+    return g, f, m, draw(st.sampled_from([(u, v), (v, u)]))
+
+
+K3 = ORBIT_PATTERNS["K3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_cases())
+# the second orientation of an image pair covers the pair too
+@example((complete(3), K3, (0, 1, 2), (1, 0)))
+# a -1 entry is off the host, though adj[-1] is the top vertex's set
+@example((complete(3), K3, (-1, 0, 1), None))
+def test_validates_against_naive_oracle(case):
+    g, f, m, through = case
+    assert CopyWitness(m).validates(g, f, through) == validates_naive(m, g, f, through)
 
 
 # -- one map per copy: symmetry-breaking pairs ------------------------------
