@@ -37,11 +37,11 @@ class Pattern:
     delta: int
     aut: int
 
-    # oriented edge anchors (a, b) that copy_through_edge tries: of the list
-    # (a, b), (b, a) for each sorted edge, the first of each Aut(F)-orbit.
-    # Anchors in one orbit are carried onto each other by an automorphism of
-    # F, so an anchored search succeeds for all of them or for none.
-    anchors: tuple[tuple[int, int], ...]
+    # oriented edge anchors (a, b, size) that _maps_through pins: of the list
+    # (a, b), (b, a) for each sorted edge, the first of each Aut(F)-orbit,
+    # with the orbit's size.  An automorphism carries the orbit's edges onto
+    # each other, so each has as many maps pinned onto a host pair.
+    anchors: tuple[tuple[int, int, int], ...]
 
     breaks: tuple[tuple[int, int], ...]
 
@@ -90,13 +90,16 @@ def normalize_pattern(f: Graph) -> Pattern:
             orbit[i] = min(orbit[i], index[sigma[a], sigma[b]])
         b = next((b for b in base if sigma[b] != b), base[0])
         base_orbit[b].add(sigma[b])
+    orbits = prod(map(len, base_orbit.values()))
+    if orbits != aut:
+        raise InternalError(f"base orbits multiply to {orbits}, not |Aut(F)| = {aut}")
     return Pattern(
         graph=f,
         s=f.n,
         t=f.m_edges,
         delta=f.min_degree(),
         aut=aut,
-        anchors=tuple(ab for i, ab in enumerate(oriented) if orbit[i] == i),
+        anchors=tuple((*ab, orbit.count(i)) for i, ab in enumerate(oriented) if orbit[i] == i),
         breaks=tuple((b, w) for b in base for w in sorted(base_orbit[b] - {b})),
     )
 
@@ -203,9 +206,6 @@ def count_injective_maps(g, f: Pattern) -> int:
 def count_copies(g, f: Pattern) -> int:
     """Number of subgraphs of G isomorphic to F: the maps that satisfy
     ``f.breaks``, one per copy (equal to injective maps / |Aut(F)|)."""
-    orbits = prod(1 + [b for b, _ in f.breaks].count(v) for v in range(f.s))
-    if orbits != f.aut:
-        raise InternalError(f"base orbits multiply to {orbits}, not |Aut(F)| = {f.aut}")
     return sum(1 for _ in _iter_maps(f.graph, g, breaks=f.breaks))
 
 
@@ -234,6 +234,16 @@ class CopyWitness:
         return (u, v) in pairs or (v, u) in pairs
 
 
+def _maps_through(g, f: Pattern, u: int, v: int):
+    """Yield (``_iter_maps``' live map, orbit size) for each map of F into g
+    pinning an anchor (a, b) onto (u, v), anchors in order.  A map through
+    uv sends one oriented pattern edge onto (u, v), so composing with Aut(F)
+    makes each anchored map |orbit| maps with its image, and no others."""
+    for a, b, size in f.anchors:
+        for mapping in _iter_maps(f.graph, g, {a: u, b: v}):
+            yield mapping, size
+
+
 def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
     """First (deterministic) copy of F in G whose image contains the edge e,
     or None when no copy through e exists.
@@ -248,7 +258,6 @@ def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
         u, v = v, u
     if v not in g.adj[u]:
         raise ParameterError(f"edge ({u},{v}) not present in host")
-    for a, b in f.anchors:
-        for mapping in _iter_maps(f.graph, g, {a: u, b: v}):
-            return CopyWitness(tuple(mapping))
+    for mapping, _ in _maps_through(g, f, u, v):
+        return CopyWitness(tuple(mapping))
     return None

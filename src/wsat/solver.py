@@ -8,10 +8,9 @@ a qualifying F gives wsat >= r(G), plus one when every F - e is dependent.
 Each level walks the m - k left-out edges in lexicographic order of the
 reversed edge list (colex order on the kept edges) and reads the clock at
 every subset.  The greedy solver reverse-deletes edges lying in copies of F,
-which always leaves a weakly saturated graph.  Greedy counts the maps of F
-through each host edge once; a deletion subtracts the maps through the
-deleted edge, each sending exactly one oriented pattern edge onto it, so
-none twice.
+which always leaves a weakly saturated graph.  It finds the maps of F
+through an edge with ``copy_through_edge``'s anchored search, one anchor per
+Aut(F)-orbit of oriented pattern edges, each map weighted by its orbit's size.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable, Iterator, Optional
 from .bootstrap import ActivationTrace, _Work, closure
 from .errors import InternalError, ParameterError, PreconditionError
 from .graph import Graph, Seed, seed_rng
-from .patterns import CopyWitness, Pattern, _iter_maps, contains_copy
+from .patterns import CopyWitness, Pattern, _maps_through, contains_copy
 
 
 @dataclass
@@ -231,40 +230,31 @@ def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult
     F-free, and replaying the deletions in reverse is a valid saturation
     order, so the remainder is weakly (G,F)-saturated.
 
-    The maps of F are counted once, up front, as one map per copy (under
-    ``f.breaks``) weighted |Aut(F)|; deleting e subtracts only the maps
-    through e, found by pinning every oriented pattern edge on e.  An
-    injective map sends exactly one pattern edge onto e, in one orientation,
-    so each is subtracted once.  The step's witness is the first of those
-    maps, pins taken in anchor order: that is ``copy_through_edge``'s copy,
-    since the pins of one Aut(F)-orbit succeed together, so the first pin
-    that succeeds is an anchor and every anchor before it failed.  The
-    remainder is G less the deleted edges.
+    An edge's count, the maps of F through it, sums the orbit sizes of its
+    anchored maps (``_maps_through``).  Deleting e subtracts each one's size
+    from its t host edges; the witness is the first, ``copy_through_edge``'s.
     """
     rng = seed_rng(seed)
     work = _Work(g)
-
-    def count(maps, weight: int) -> Counter:
-        # F's t edges go to t distinct host edges: |copies through e| * |Aut(F)|
-        through: Counter = Counter()
-        for mapping in maps:
-            for x, y in f.graph.edge_set:
-                a, b = mapping[x], mapping[y]
-                through[(a, b) if a < b else (b, a)] += weight
-        return through
-
-    through = count(_iter_maps(f.graph, work, breaks=f.breaks), f.aut)  # one per copy
+    through: Counter = Counter()
+    for u, v in g.edges():
+        for _, size in _maps_through(work, f, u, v):
+            through[u, v] += size
     deletions: list = []
     while through:
         best = min(through.values())
         e = rng.choice(sorted(e for e, c in through.items() if c == best))
-        u, v = e
-        maps = [tuple(mapping) for a, b in f.graph.edges()
-                for x, y in ((u, v), (v, u))
-                for mapping in _iter_maps(f.graph, work, {a: x, b: y})]
-        deletions.append((e, CopyWitness(maps[0])))
-        through -= count(maps, 1)  # drops zeros
-        work.remove(u, v)
+        lost: Counter = Counter()
+        for mapping, size in _maps_through(work, f, *e):
+            if not lost:
+                deletions.append((e, CopyWitness(tuple(mapping))))
+            for x, y in f.graph.edge_set:
+                a, b = mapping[x], mapping[y]
+                lost[(a, b) if a < b else (b, a)] += size
+        if not lost:  # a count that no map backs would never reach zero
+            raise InternalError(f"greedy counted maps through {e}, but none is left")
+        through -= lost  # drops zeros, e among them
+        work.remove(*e)
     h = Graph(g.n, g.edge_set.difference(e for e, _ in deletions))
     lower = lower_bound_general(g, f) if g.n >= f.s else 0
     return WsatResult(

@@ -24,7 +24,7 @@ from wsat import (
     sample_gnp,
     star,
 )
-from wsat.patterns import _iter_maps, _matching_order
+from wsat.patterns import _iter_maps, _maps_through, _matching_order
 from conftest import random_host, small_hosts
 from oracles import validates_naive
 
@@ -233,7 +233,12 @@ def test_anchor_orbits():
         for a, b in oriented:
             if not any((sigma[a], sigma[b]) in firsts for sigma in autos):
                 firsts.append((a, b))
-        assert list(f.anchors) == firsts
+        assert [(a, b) for a, b, _ in f.anchors] == firsts
+        # each anchor carries its orbit's size, and the orbits partition the
+        # 2t oriented edges
+        for a, b, size in f.anchors:
+            assert size == len({(sigma[a], sigma[b]) for sigma in autos})
+        assert sum(size for _, _, size in f.anchors) == 2 * f.t
 
 
 @settings(max_examples=100, deadline=None)
@@ -257,6 +262,21 @@ def test_greedy_witnesses_are_copy_through_edge(g, name, seed):
         current.remove(e)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_hosts(7), st.sampled_from(sorted(ORBIT_PATTERNS)))
+def test_maps_through_weights_count_every_map(g, name):
+    # the orbit sizes of the anchored maps through e count the unpinned maps
+    # whose image contains e, and the first anchored map is the witness
+    f = ORBIT_PATTERNS[name]
+    images = [{tuple(sorted((m[a], m[b]))) for a, b in f.graph.edge_set}
+              for m in _iter_maps(f.graph, g)]
+    for u, v in g.edges():
+        anchored = [(tuple(m), size) for m, size in _maps_through(g, f, u, v)]
+        assert sum(size for _, size in anchored) == sum((u, v) in im for im in images)
+        first = CopyWitness(anchored[0][0]) if anchored else None
+        assert first == copy_through_edge(g, f, (u, v))
+
+
 def _check_matcher_contract(g, f, brute):
     """The matcher against ``brute``, every map of F into g as a tuple:
     unpinned, pinned on every anchor in both orientations of every host
@@ -271,7 +291,7 @@ def _check_matcher_contract(g, f, brute):
     order = _matching_order(f.graph)
     brute = sorted(brute, key=lambda p: [p[v] for v in order])
     assert maps == brute
-    for a, b in f.anchors:
+    for a, b, _ in f.anchors:
         by_pin = {}
         for p in brute:
             by_pin.setdefault((p[a], p[b]), []).append(p)

@@ -27,6 +27,7 @@ from wsat import (
     closure,
     matching,
     normalize_pattern,
+    path,
     run_experiment,
     sample_gnp,
 )
@@ -121,6 +122,12 @@ GREEDY_PINS = {
             "5af8ce3244343d9d9f56acb50689437079e3ceceaabe44258d95e915050f8b11"),
     "2K2": (matching(2),
             "6e280670a8a64c889e6dadc83cf3ceb3f09ec1ce42045337f0e092fc8f109034"),
+    # recorded while greedy still pinned all 2t oriented pattern edges; P4 has
+    # three anchored searches per edge where K4 has one
+    "K4": (complete(4),
+           "91153bceed4aefbdf6df76f19114a2b6fdba5ae39670f2f9f8d4a99be1753965"),
+    "P4": (path(4),
+           "1b5407cdbbf21c04bbd8653dd290b2da03d525a88ddf4270b74a2ad20f6c9301"),
 }
 
 

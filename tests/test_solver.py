@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations, count
 from math import comb
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from wsat import (
     FormulaQuery,
     Graph,
+    InternalError,
     PreconditionError,
     SearchBudget,
     Seed,
@@ -231,6 +233,16 @@ def test_greedy_matches_round_by_round_oracle(host, f, seed):
     assert res.as_dict() == ref.as_dict()
     assert res.certificate[0].edges() == ref.certificate[0].edges()
     assert res.certificate[1].to_json() == ref.certificate[1].to_json()
+
+
+def test_greedy_raises_on_counts_no_map_backs():
+    # K3+K2 with both orbit sizes set to 1: the counts stop matching the maps
+    # left, and greedy raises rather than looping on an edge with none
+    f = GREEDY_PATTERNS[5]
+    unweighted = dataclasses.replace(f, anchors=tuple((a, b, 1) for a, b, _ in f.anchors))
+    host = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(InternalError, match="none is left"):
+        greedy_upper_bound(host, unweighted, 3)
 
 
 def test_sandwich_lower_exact_greedy(k3, k13):
