@@ -108,15 +108,16 @@ def normalize_pattern(f: Graph) -> Pattern:
 
 
 @cache
-def _plan(pat: Graph, pinned: tuple[int, ...]) -> tuple:
-    """The vertices ``_iter_maps`` places, in matching order, each with its
-    pattern neighbours placed before it and its degree."""
+def _plan(pat: Graph, pinned: tuple[int, ...], breaks=()) -> tuple:
+    """The vertices ``_iter_maps`` places, in matching order, as rows (pv, nbrs,
+    lows, deg): pv's neighbours placed before it, the b of each break (b, pv)
+    (matching order places b first) and pv's degree."""
     placed = set(pinned)
     plan = []
     for pv in _matching_order(pat):
         if pv not in placed:
             plan.append((pv, tuple(pu for pu in pat.adj[pv] if pu in placed),
-                         len(pat.adj[pv])))
+                         tuple(b for b, w in breaks if w == pv), len(pat.adj[pv])))
             placed.add(pv)
     return tuple(plan)
 
@@ -138,10 +139,11 @@ def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None, breaks=())
     with none placed it is every host vertex.
 
     ``breaks`` (unpinned searches only, e.g. ``Pattern.breaks``) keeps only
-    maps with map(b) < map(w) for each pair (b, w): a lower bound on w's pool.
+    maps with map(b) < map(w) for each pair (b, w).  ``_plan`` stores them in
+    its cached rows, and each of w's pools starts past every map(b).
     """
     fixed = fixed or {}
-    plan = _plan(pat, tuple(fixed))
+    plan = _plan(pat, tuple(fixed), breaks)
     adj = host.adj
     mapping = [-1] * pat.n
     used = [False] * host.n
@@ -152,31 +154,26 @@ def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None, breaks=())
         yield mapping
         return
 
-    def pool(nbrs):  # candidates for a vertex with these placed neighbours
+    def pool(row):  # one set operation, then past the row's breaks
+        _, nbrs, lows, _ = row
         if not nbrs:
-            return range(host.n)
-        first = adj[mapping[nbrs[0]]]
-        if len(nbrs) == 1:  # .intersection() of nothing would copy the set
-            return sorted(first)
-        if len(nbrs) == 2:
-            return sorted(first & adj[mapping[nbrs[1]]])
-        return sorted(first.intersection(*[adj[mapping[pu]] for pu in nbrs[1:]]))
-
-    if breaks:  # b is placed before w; a local plan lists the b of each w
-        plan = [(pv, (nbrs, [b for b, w in breaks if w == pv]), deg)
-                for pv, nbrs, deg in plan]
-        unbounded = pool
-
-        def pool(nbrs_lows):
-            cands = unbounded(nbrs_lows[0])
-            lo = max([mapping[b] + 1 for b in nbrs_lows[1]], default=0)
-            return cands[bisect_left(cands, lo):] if lo else cands
+            cands = range(host.n)
+        elif len(nbrs) == 1:  # .intersection() of nothing would copy the set
+            cands = sorted(adj[mapping[nbrs[0]]])
+        elif len(nbrs) == 2:
+            cands = sorted(adj[mapping[nbrs[0]]] & adj[mapping[nbrs[1]]])
+        else:
+            cands = sorted(adj[mapping[nbrs[0]]].intersection(
+                *[adj[mapping[pu]] for pu in nbrs[1:]]))
+        if lows and cands and cands[0] <= (lo := max(map(mapping.__getitem__, lows))):
+            return cands[bisect_left(cands, lo + 1):]
+        return cands
 
     last = len(plan) - 1
-    stack = [iter(pool(plan[0][1]))]
+    stack = [iter(pool(plan[0]))]
     while stack:
         i = len(stack) - 1
-        pv, _, deg = plan[i]
+        pv, _, _, deg = plan[i]
         for hv in stack[i]:
             if not used[hv] and len(adj[hv]) >= deg:
                 break
@@ -190,12 +187,13 @@ def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None, breaks=())
             yield mapping
         else:
             used[hv] = True
-            stack.append(iter(pool(plan[i + 1][1])))
+            stack.append(iter(pool(plan[i + 1])))
 
 
 def contains_copy(g, f: Pattern) -> bool:
-    """True iff an injective edge-preserving map F -> G exists."""
-    return f.s <= g.n and any(True for _ in _iter_maps(f.graph, g))
+    """True iff an injective edge-preserving map F -> G exists, searched under
+    ``f.breaks``: each copy keeps one map, so a miss is pruned earlier."""
+    return f.s <= g.n and any(True for _ in _iter_maps(f.graph, g, breaks=f.breaks))
 
 
 def count_injective_maps(g, f: Pattern) -> int:

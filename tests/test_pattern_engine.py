@@ -280,8 +280,9 @@ def test_maps_through_weights_count_every_map(g, name):
 def _check_matcher_contract(g, f, brute):
     """The matcher against ``brute``, every map of F into g as a tuple:
     unpinned, pinned on every anchor in both orientations of every host
-    edge, and under ``f.breaks``."""
+    edge, and under ``f.breaks``, which ``contains_copy`` reads too."""
     assert count_injective_maps(g, f) == len(brute)
+    assert contains_copy(g, f) == bool(brute)
     # the matcher yields one live map; snapshot each one as it is yielded
     maps = [tuple(m) for m in _iter_maps(f.graph, g)]
     assert all(CopyWitness(m).validates(g, f) for m in maps)
