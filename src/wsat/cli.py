@@ -6,8 +6,8 @@ Each job has its own parser, which takes exactly the flags its handler reads:
 
 Graph arguments accept either a ``family:params`` shorthand (``complete:5``,
 ``cbip:2,3``, ``star:3``, ``path:4``, ``cycle:6``, ``empty:4``,
-``matching:3``, ``gnp:20,0.5``) or a path to an edge-list file
-(first line "n m", then "u v" lines, '#' comments).
+``matching:3``, ``gnp:20,0.5``) or a path to an edge-list file (first line
+"n m", then "u v" lines, '#' comments); an existing file wins over shorthand.
 
 Output: JSON payload on stdout (keys sorted), a one-line human summary on
 stderr.  Exit codes: 0 success, 1 domain error (structure absent, failed
@@ -21,7 +21,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .bootstrap import ActivationTrace, closure, verify_trace_detailed
@@ -54,8 +56,8 @@ USAGE_ERRORS = (ParameterError, GraphParseError)
 
 
 def parse_graph_arg(spec: str, seed: int = 0) -> Graph:
-    """family:params shorthand or an edge-list file path."""
-    if ":" in spec and not spec.endswith(".el"):
+    """Edge-list file path or family:params shorthand; an existing file wins."""
+    if ":" in spec and not spec.endswith(".el") and not os.path.isfile(spec):
         tag, _, params = spec.partition(":")
         parts = [p for p in params.split(",") if p]
         if tag == "gnp":
@@ -199,14 +201,8 @@ def cmd_profile(args) -> int:
     f = parse_pattern_arg(args.pattern)
     budget = SearchBudget(args.budget_nodes, args.budget_seconds)
     prof = stability_profile(f, args.nmax, budget)
-    payload = {
-        "delta": prof.delta,
-        "d_f": prof.d_F,
-        "k": prof.k,
-        "phi_table": [[n, phi] for n, phi in prof.phi_table],
-        "complete_scan": prof.complete_scan,
-        "note": prof.note,
-    }
+    payload = asdict(prof)
+    payload["d_f"] = payload.pop("d_F")
     _emit(payload, f"profile: d_F={prof.d_F} k={prof.k} ({prof.note})", args)
     return 0
 

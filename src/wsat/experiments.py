@@ -97,17 +97,7 @@ class ExperimentReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "n": self.n,
-                "master_seed": self.master_seed,
-                "annotations": self.annotations,
-                "aggregates": self.aggregates,
-                "records": [asdict(r) for r in self.records],
-            },
-            sort_keys=True,
-        )
+        return json.dumps({**asdict(self), "aggregates": self.aggregates}, sort_keys=True)
 
     CSV_FIELDS = [f.name for f in fields(TrialRecord)]
 

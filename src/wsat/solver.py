@@ -46,19 +46,13 @@ class WsatResult:
     upper: int
     exact: Optional[int] = None
     certificate: Optional[tuple[Graph, ActivationTrace]] = None
-    method: str = "bound"
+    method: str = "exact-search"
     budget_exceeded: bool = False
     nodes: int = 0
 
     def as_dict(self) -> dict:
-        d = {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "method": self.method,
-            "budget_exceeded": self.budget_exceeded,
-            "nodes": self.nodes,
-        }
+        """The fields as JSON, the certificate as its edges and trace length."""
+        d = {k: v for k, v in vars(self).items() if k != "certificate"}
         if self.certificate is not None:
             h, tr = self.certificate
             d["certificate_edges"] = [list(e) for e in h.edges()]
@@ -176,7 +170,6 @@ def wsat_exact(
             upper=m,
             exact=m,
             certificate=(g, ActivationTrace()),
-            method="exact-search",
         )
 
     degree = [g.degree(v) for v in range(g.n)]
@@ -193,10 +186,7 @@ def wsat_exact(
         for dropped in combinations(reversed_edges, m - k):
             nodes += 1
             if nodes > budget.max_nodes or time.monotonic() - start > budget.max_seconds:
-                return WsatResult(
-                    lower=k, upper=m, method="exact-search",
-                    budget_exceeded=True, nodes=nodes,
-                )
+                return WsatResult(lower=k, upper=m, budget_exceeded=True, nodes=nodes)
             deg = degree.copy()
             for u, v in dropped:
                 deg[u] -= 1
@@ -213,7 +203,6 @@ def wsat_exact(
                     upper=k,
                     exact=k,
                     certificate=(h, res.trace),
-                    method="exact-search",
                     nodes=nodes,
                 )
         k += 1

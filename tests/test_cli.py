@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsat import ParameterError, Seed, complete, encode_edge_list, sample_gnp, star
+from wsat import ParameterError, Seed, complete, encode_edge_list, path, sample_gnp, star
 from wsat.cli import main, parse_graph_arg
 
 
@@ -33,6 +33,18 @@ def test_parse_graph_arg_file(tmp_path):
     path = tmp_path / "g.el"
     path.write_text(encode_edge_list(complete(4)))
     assert parse_graph_arg(str(path)) == complete(4)
+
+
+def test_parse_graph_arg_file_with_colon(tmp_path, capsys):
+    # an existing file is read as a file even when its name looks like family:params
+    spec = tmp_path / "tri:angle.txt"
+    spec.write_text(encode_edge_list(path(3)))
+    assert parse_graph_arg(str(spec)) == path(3)
+    code, out, _ = run(capsys, "count", "--host", str(spec), "--pattern", "path:3", "--json")
+    assert code == 0 and json.loads(out)["copies"] == 1
+    # a missing one is still shorthand, with the shorthand's error
+    with pytest.raises(ParameterError, match="expected a number, got 'missing.txt'"):
+        parse_graph_arg(str(tmp_path / "tri:missing.txt"))
 
 
 def test_solve_command(capsys):
@@ -306,6 +318,13 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, trace, unknown_flag):
         if argv[0] == "construct":
             assert "--m" in err
     assert code == 2 and out == ""
+
+
+def test_construct_core_of_wrong_size_exits_2(capsys):
+    code, out, err = run(capsys, "construct", "complete", "--pattern", "complete:3",
+                         "--n", "7", "--m", "2", "--core", "empty:3")
+    assert code == 2 and out == ""
+    assert err == "error: core has 3 vertices, expected m=2\n"
 
 
 def test_construct_partition_method_removed(capsys):

@@ -136,6 +136,11 @@ def test_construct_complete_host_rejects_bad_core(k3):
         construct_complete_host_saturator(6, k3, 3, complete(3))  # core contains F
 
 
+def test_construct_complete_host_rejects_core_of_wrong_size(k3):
+    with pytest.raises(ParameterError, match="core has 3 vertices, expected m=2"):
+        construct_complete_host_saturator(7, k3, 2, Graph(3, []))
+
+
 def test_construct_complete_host_clique_counts(k3, k4):
     for f, s in ((k3, 3), (k4, 4)):
         core = complete(s - 2)

@@ -166,6 +166,18 @@ CLI_PINS = {
     "profile-K3": (
         ["profile", "--pattern", "complete:3", "--nmax", "6"],
         "f4d53440d8e51d2197305b875545ba73280daf1cadddf52e3fe5b2ca5d927aec"),
+    # payload shapes without their own pin above, recorded before the JSON
+    # keys were derived from the result fields: a budget-exceeded solve (no
+    # certificate keys), an F-free host (empty trace) and a cut-short profile
+    "solve-budget": (
+        ["solve", "--host", "complete:6", "--pattern", "cbip:2,4", "--budget-nodes", "5"],
+        "a34e89f858669b82e4d345dfa00752e9148899ca9441c01cb52bd36d6fe39a0a"),
+    "solve-F-free": (
+        ["solve", "--host", "path:5", "--pattern", "complete:3"],
+        "72667d590f62ffe1f1571b063f0f1a4f11d34ccac3480fa53af0058d86cd9275"),
+    "profile-cut-short": (
+        ["profile", "--pattern", "cbip:2,4", "--nmax", "7", "--budget-nodes", "5"],
+        "5a1fc2e977212ea9c3d228630809bdbd1a869bb818d4c28b83acadbfb336665d"),
     "count-gnp-K4": (
         ["count", "--host", "gnp:25,0.5", "--pattern", "complete:4", "--seed", "7"],
         "93ab97ffb95229af8bb8c6f0985ab74416b52a4fa80b5850fda3febc16dfd810"),

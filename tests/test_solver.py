@@ -75,6 +75,27 @@ def test_wsat_f_free_host_is_forced(k3):
     assert res.certificate[0] == host
 
 
+RESULT_KEYS = {"lower", "upper", "exact", "method", "budget_exceeded", "nodes"}
+CERTIFICATE_KEYS = {"certificate_edges", "certificate_trace_length"}
+
+
+def test_result_json_keys(k3):
+    # the JSON keys are the result's fields, so a new field shows up here by name
+    cases = {
+        "solved": (wsat_exact(complete(5), k3), True),
+        "F-free": (wsat_exact(Graph(4, [(0, 1), (1, 2), (2, 3)]), k3), True),
+        "budget": (wsat_exact(complete(6), normalize_pattern(complete_bipartite(2, 4)),
+                              SearchBudget(max_nodes=5)), False),
+        "greedy": (greedy_upper_bound(complete(5), k3, 0), True),
+    }
+    for name, (res, certified) in cases.items():
+        extra = CERTIFICATE_KEYS if certified else set()
+        assert set(res.as_dict()) == RESULT_KEYS | extra, name
+    assert cases["budget"][0].as_dict()["budget_exceeded"] is True
+    assert cases["F-free"][0].as_dict()["method"] == "exact-search"
+    assert cases["greedy"][0].as_dict()["method"] == "greedy"
+
+
 def test_oracle_equivalence_small_complete_hosts(k3, k4, k13, p3):
     k12 = normalize_pattern(star(1))
     for n in (4, 5, 6):
