@@ -90,6 +90,12 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     re-enqueues all of them, since the new edge may complete a copy through
     any of them.  The loop ends with the queue empty, so the set-aside edges
     are exactly the host edges the closure misses.
+
+    For F = K_s, a re-enqueued edge xy goes back aside unsearched unless an
+    edge added since xy last failed touched a common neighbour z of x and y.
+    Sound: a new K_s through xy holds an edge added since, which has an end
+    z other than x and y; z is in the K_s, so a common neighbour.  The queue
+    order, and so the trace, is unchanged.
     """
     if not seed.is_spanning_subgraph_of(host):
         raise PreconditionError("seed must be a spanning subgraph of the host")
@@ -97,15 +103,26 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     queue = deque(sorted(host.edge_set - seed.edge_set))
     stalled: set[Edge] = set()
     steps: list[tuple[Edge, CopyWitness]] = []
+    clique = 2 * f.t == f.s * (f.s - 1)
+    touched = [0] * host.n  # len(steps) after the last added edge at v
+    failed_at: dict[Edge, int] = {}  # len(steps) when a clique's edge failed
     while queue:
         e = queue.popleft()
-        work.add(*e)
-        w = copy_through_edge(work, f, e)
-        if w is None:
-            work.remove(*e)
+        x, y = e
+        k = failed_at.get(e)
+        if k is not None and not any(touched[z] > k for z in work.adj[x] & work.adj[y]):
             stalled.add(e)
             continue
+        work.add(x, y)
+        w = copy_through_edge(work, f, e)
+        if w is None:
+            work.remove(x, y)
+            stalled.add(e)
+            if clique:
+                failed_at[e] = len(steps)
+            continue
         steps.append((e, w))
+        touched[x] = touched[y] = len(steps)
         queue.extend(sorted(stalled))
         stalled.clear()
     return ClosureResult(

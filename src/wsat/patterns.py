@@ -37,11 +37,12 @@ class Pattern:
     delta: int
     aut: int
 
-    # oriented edge anchors (a, b, size) that _maps_through pins: of the list
-    # (a, b), (b, a) for each sorted edge, the first of each Aut(F)-orbit,
-    # with the orbit's size.  An automorphism carries the orbit's edges onto
-    # each other, so each has as many maps pinned onto a host pair.
-    anchors: tuple[tuple[int, int, int], ...]
+    # oriented edge anchors (a, b, size, plan) that _maps_through pins: of the
+    # list (a, b), (b, a) for each sorted edge, the first of each Aut(F)-orbit,
+    # with the orbit's size and _plan(graph, (a, b)), built here once.  An
+    # automorphism carries the orbit's edges onto each other, so each has as
+    # many maps pinned onto a host pair.
+    anchors: tuple[tuple[int, int, int, tuple], ...]
 
     breaks: tuple[tuple[int, int], ...]
 
@@ -99,7 +100,8 @@ def normalize_pattern(f: Graph) -> Pattern:
         t=f.m_edges,
         delta=f.min_degree(),
         aut=aut,
-        anchors=tuple((*ab, orbit.count(i)) for i, ab in enumerate(oriented) if orbit[i] == i),
+        anchors=tuple((a, b, orbit.count(i), _plan(f, (a, b)))
+                      for i, (a, b) in enumerate(oriented) if orbit[i] == i),
         breaks=tuple((b, w) for b in base for w in sorted(base_orbit[b] - {b})),
     )
 
@@ -123,32 +125,34 @@ def _plan(pat: Graph, pinned: tuple[int, ...], breaks=()) -> tuple:
 
 
 def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None, breaks=()):
-    """Yield injective edge-preserving maps V(pat) -> V(host), the library's
-    one subgraph search.
+    """Yield injective edge-preserving maps V(pat) -> V(host): ``_search``
+    from the cached ``_plan``, for callers with no stored plan.
 
-    Each map is one live list indexed by pattern vertex, valid until the
-    iterator resumes: read it at once, copy it to keep it.  ``host`` needs
-    only ``.n`` and ``.adj`` (a sequence of sets), so callers can pass mutable
-    working graphs.  ``fixed`` pins pattern vertices onto distinct host
-    vertices; no pattern edge between two pinned vertices is checked, so a
-    caller that pins an edge's ends must check the host edge itself.  The
-    search is depth-first in matching order with an explicit stack of
-    candidate iterators; candidates are tried in ascending order.  A
-    vertex's pool is the sorted host neighbourhood of its one placed
-    neighbour, or one ``&`` of two, or one intersection of three or more;
-    with none placed it is every host vertex.
-
-    ``breaks`` (unpinned searches only, e.g. ``Pattern.breaks``) keeps only
-    maps with map(b) < map(w) for each pair (b, w).  ``_plan`` stores them in
-    its cached rows, and each of w's pools starts past every map(b).
+    ``host`` needs only ``.n`` and ``.adj`` (a sequence of sets), so callers
+    can pass mutable working graphs.  ``fixed`` pins pattern vertices onto
+    distinct host vertices; no pattern edge between two pinned vertices is
+    checked, so a caller that pins an edge's ends must check the host edge
+    itself.  ``breaks`` (unpinned searches only, e.g. ``Pattern.breaks``)
+    keeps only maps with map(b) < map(w) for each pair (b, w); ``_plan``
+    stores them in its rows, and each of w's pools starts past every map(b).
     """
     fixed = fixed or {}
-    plan = _plan(pat, tuple(fixed), breaks)
-    adj = host.adj
     mapping = [-1] * pat.n
-    used = [False] * host.n
     for pv, hv in fixed.items():
         mapping[pv] = hv
+    return _search(_plan(pat, tuple(fixed), breaks), host, mapping, fixed.values())
+
+
+def _search(plan: tuple, host, mapping: list[int], pinned):
+    """The library's one search loop: extend ``mapping``, which holds the
+    ``pinned`` host vertices, over ``plan``'s rows, yielding the one live
+    ``mapping`` (copy it to keep it).  Depth-first with an explicit stack of
+    candidate iterators, candidates ascending.  A vertex's pool is the sorted
+    host neighbourhood of its one placed neighbour, or one ``&`` of two, or
+    one intersection of three or more; with none placed, every host vertex."""
+    adj = host.adj
+    used = [False] * host.n
+    for hv in pinned:
         used[hv] = True
     if not plan:
         yield mapping
@@ -233,12 +237,15 @@ class CopyWitness:
 
 
 def _maps_through(g, f: Pattern, u: int, v: int):
-    """Yield (``_iter_maps``' live map, orbit size) for each map of F into g
-    pinning an anchor (a, b) onto (u, v), anchors in order.  A map through
-    uv sends one oriented pattern edge onto (u, v), so composing with Aut(F)
-    makes each anchored map |orbit| maps with its image, and no others."""
-    for a, b, size in f.anchors:
-        for mapping in _iter_maps(f.graph, g, {a: u, b: v}):
+    """Yield (``_search``'s live map, orbit size) for each map of F into g
+    pinning an anchor (a, b) onto (u, v), anchors in order, each search
+    started from the anchor's stored plan.  A map through uv sends one
+    oriented pattern edge onto (u, v), so composing with Aut(F) makes each
+    anchored map |orbit| maps with its image, and no others."""
+    for a, b, size, plan in f.anchors:
+        start = [-1] * f.s
+        start[a], start[b] = u, v
+        for mapping in _search(plan, g, start, (u, v)):
             yield mapping, size
 
 

@@ -184,9 +184,9 @@ def wsat_exact(
         # lex order on the m - k left-out edges of the reversed edge list is
         # colex order on the k kept edges of the sorted one
         for dropped in combinations(reversed_edges, m - k):
-            nodes += 1
-            if nodes > budget.max_nodes or time.monotonic() - start > budget.max_seconds:
+            if nodes >= budget.max_nodes or time.monotonic() - start > budget.max_seconds:
                 return WsatResult(lower=k, upper=m, budget_exceeded=True, nodes=nodes)
+            nodes += 1
             deg = degree.copy()
             for u, v in dropped:
                 deg[u] -= 1

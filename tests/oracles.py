@@ -2,13 +2,14 @@
 ``validate``, a full re-check of a graph's adjacency sets.
 
 All are deliberately unoptimized: ``closure_naive`` rescans every missing
+edge after each addition, ``closure_requeue_all`` re-tests every set-aside
 edge after each addition, ``wsat_exact_naive`` tries every edge subset in
 increasing size, and ``greedy_naive`` re-enumerates every map of F into the
 current graph in each deletion round.  They are not part of the ``wsat``
 package.
 """
 
-from collections import Counter
+from collections import Counter, deque
 
 from wsat.bootstrap import (
     ActivationTrace,
@@ -77,6 +78,34 @@ def closure_naive(host: Graph, f: Pattern, seed: Graph, scan_order=None) -> Clos
                 progress = True
     closed = Graph(host.n, seed.edge_set.union(e for e, _ in steps))
     return ClosureResult(closed, ActivationTrace(steps), closed.edge_set == host.edge_set)
+
+
+def closure_requeue_all(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
+    """``closure``'s work queue without its clique wake-up rule: every
+    successful addition re-tests every set-aside edge.  Same queue order, so
+    the same trace, step for step."""
+    if not seed.is_spanning_subgraph_of(host):
+        raise PreconditionError("seed must be a spanning subgraph of the host")
+    work = _Work(seed)
+    queue = deque(sorted(host.edge_set - seed.edge_set))
+    stalled: set[Edge] = set()
+    steps: list[tuple[Edge, CopyWitness]] = []
+    while queue:
+        e = queue.popleft()
+        work.add(*e)
+        w = copy_through_edge(work, f, e)
+        if w is None:
+            work.remove(*e)
+            stalled.add(e)
+            continue
+        steps.append((e, w))
+        queue.extend(sorted(stalled))
+        stalled.clear()
+    return ClosureResult(
+        closure=Graph(host.n, host.edge_set - stalled),
+        trace=ActivationTrace(steps),
+        percolates=not stalled,
+    )
 
 
 def wsat_exact_naive(g: Graph, f: Pattern) -> int:

@@ -1,3 +1,6 @@
+import random
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from wsat import (
     Seed,
     closure,
     complete,
+    complete_bipartite,
     contains_copy,
     cycle,
     empty,
@@ -17,13 +21,16 @@ from wsat import (
     matching,
     normalize_pattern,
     path,
+    sample_gnp,
     star,
     verify_trace,
     verify_trace_detailed,
 )
+from wsat import bootstrap
 from wsat.bootstrap import saturation_failure
 from conftest import random_host, random_spanning_subgraph, small_hosts
-from oracles import closure_naive
+import oracles
+from oracles import closure_naive, closure_requeue_all
 
 
 def _pad(g: Graph, n: int) -> Graph:
@@ -243,3 +250,53 @@ def test_disconnected_pattern_closure(k3):
     assert res.closure == naive.closure
     assert res.percolates
     assert verify_trace(host, m2, seed, res.trace)
+
+
+WAKE_PATTERNS = [normalize_pattern(g) for g in (
+    complete(2), complete(3), complete(4), complete(5), path(3), cycle(4), star(3),
+    complete_bipartite(2, 3), matching(2), Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]))]
+
+# K4 on six vertices, seeded with every edge but (0, 1) and (2, 3): (0, 1)
+# fails while (2, 3) is missing, then (2, 3) is added through {2, 3, 4, 5},
+# which touches neither 0 nor 1 but two of their common neighbours, and
+# (0, 1) must be woken to complete {0, 1, 2, 3}
+WAKE_HOST = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (2, 5),
+                      (3, 4), (3, 5), (4, 5)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_hosts(8), st.integers(1, 8).map(complete)), st.integers(0, 2**28 - 1))
+@example(WAKE_HOST, 0b11111011110)
+def test_closure_matches_requeue_all(host, mask):
+    # bit i of mask keeps the i-th host edge in the seed; the clique wake-up
+    # rule skips only searches that would fail, so every step is the same.
+    # Complete hosts make long K4 and K5 chains, which wake edges often
+    seed = Graph(host.n, [e for i, e in enumerate(host.edges()) if mask >> i & 1])
+    for f in WAKE_PATTERNS:
+        res, ref = closure(host, f, seed), closure_requeue_all(host, f, seed)
+        assert res.trace.to_json() == ref.trace.to_json()
+        assert res.closure == ref.closure
+        assert res.percolates is ref.percolates
+
+
+@pytest.mark.parametrize("pattern,fewer", [(complete(4), True), (cycle(4), False)])
+def test_clique_wake_up_skips_searches(monkeypatch, pattern, fewer):
+    # the LARGE_HOST_TRACE_PINS host: K4's closure skips re-tests whose common
+    # neighbourhood has not changed, C4's re-tests every set-aside edge
+    host = sample_gnp(30, 0.5, Seed(30))
+    seed = Graph(30, random.Random(30).sample(sorted(host.edge_set), round(0.15 * comb(30, 2))))
+    f = normalize_pattern(pattern)
+    search, calls = bootstrap.copy_through_edge, []
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(bootstrap, "copy_through_edge", counted)
+    monkeypatch.setattr(oracles, "copy_through_edge", counted)
+    res = closure(host, f, seed)
+    ours = len(calls)
+    ref = closure_requeue_all(host, f, seed)
+    theirs = len(calls) - ours
+    assert res.trace.to_json() == ref.trace.to_json()
+    assert ours < theirs if fewer else ours == theirs

@@ -24,7 +24,7 @@ from wsat import (
     sample_gnp,
     star,
 )
-from wsat.patterns import _iter_maps, _maps_through, _matching_order
+from wsat.patterns import _iter_maps, _maps_through, _matching_order, _plan
 from conftest import random_host, small_hosts
 from oracles import validates_naive
 
@@ -233,12 +233,13 @@ def test_anchor_orbits():
         for a, b in oriented:
             if not any((sigma[a], sigma[b]) in firsts for sigma in autos):
                 firsts.append((a, b))
-        assert [(a, b) for a, b, _ in f.anchors] == firsts
+        assert [(a, b) for a, b, _, _ in f.anchors] == firsts
         # each anchor carries its orbit's size, and the orbits partition the
-        # 2t oriented edges
-        for a, b, size in f.anchors:
+        # 2t oriented edges; its stored plan is the one _plan builds
+        for a, b, size, plan in f.anchors:
             assert size == len({(sigma[a], sigma[b]) for sigma in autos})
-        assert sum(size for _, _, size in f.anchors) == 2 * f.t
+            assert plan == _plan(f.graph, (a, b))
+        assert sum(size for _, _, size, _ in f.anchors) == 2 * f.t
 
 
 @settings(max_examples=100, deadline=None)
@@ -292,7 +293,7 @@ def _check_matcher_contract(g, f, brute):
     order = _matching_order(f.graph)
     brute = sorted(brute, key=lambda p: [p[v] for v in order])
     assert maps == brute
-    for a, b, _ in f.anchors:
+    for a, b, _, _ in f.anchors:
         by_pin = {}
         for p in brute:
             by_pin.setdefault((p[a], p[b]), []).append(p)

@@ -168,10 +168,12 @@ CLI_PINS = {
         "f4d53440d8e51d2197305b875545ba73280daf1cadddf52e3fe5b2ca5d927aec"),
     # payload shapes without their own pin above, recorded before the JSON
     # keys were derived from the result fields: a budget-exceeded solve (no
-    # certificate keys), an F-free host (empty trace) and a cut-short profile
+    # certificate keys), an F-free host (empty trace) and a cut-short profile.
+    # solve-budget was re-recorded when ``nodes`` became the subsets examined:
+    # only ``nodes`` moved, 6 -> 5.
     "solve-budget": (
         ["solve", "--host", "complete:6", "--pattern", "cbip:2,4", "--budget-nodes", "5"],
-        "a34e89f858669b82e4d345dfa00752e9148899ca9441c01cb52bd36d6fe39a0a"),
+        "68d5363be670b8129a32fe5aae2e2ab202561fafe27dc9cd3b8830fa37d65483"),
     "solve-F-free": (
         ["solve", "--host", "path:5", "--pattern", "complete:3"],
         "72667d590f62ffe1f1571b063f0f1a4f11d34ccac3480fa53af0058d86cd9275"),

@@ -117,12 +117,28 @@ def test_budget_exhaustion_flags_partial():
 
 
 def test_budget_clock_read_at_every_subset(monkeypatch):
-    # a clock that advances one second per read: the first subset already
-    # exceeds a half-second budget
+    # a clock that advances one second per read: the half-second budget has
+    # run out when the first subset reads it, so no subset is examined
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=count().__next__))
     k24 = normalize_pattern(complete_bipartite(2, 4))
     res = wsat_exact(complete(6), k24, SearchBudget(max_seconds=0.5))
-    assert res.budget_exceeded and res.nodes == 1
+    assert res.budget_exceeded and res.nodes == 0
+
+
+def test_budget_nodes_counts_subsets_examined():
+    # K6/K_{2,4} needs more than 40 subsets; a run cut short reports the
+    # subsets it examined, not the one it stopped at, and a budget of exactly
+    # the nodes a solve needs is enough
+    k24 = normalize_pattern(complete_bipartite(2, 4))
+    for max_nodes in (1, 5, 40):
+        res = wsat_exact(complete(6), k24, SearchBudget(max_nodes=max_nodes))
+        assert res.budget_exceeded and res.nodes == max_nodes
+    k3 = normalize_pattern(complete(3))
+    host = random_host(7, 0.6, 3)
+    need = wsat_exact(host, k3).nodes
+    assert need > 1
+    res = wsat_exact(host, k3, SearchBudget(max_nodes=need))
+    assert not res.budget_exceeded and res.nodes == need
 
 
 @settings(max_examples=100, deadline=None)
@@ -260,7 +276,8 @@ def test_greedy_raises_on_counts_no_map_backs():
     # K3+K2 with both orbit sizes set to 1: the counts stop matching the maps
     # left, and greedy raises rather than looping on an edge with none
     f = GREEDY_PATTERNS[5]
-    unweighted = dataclasses.replace(f, anchors=tuple((a, b, 1) for a, b, _ in f.anchors))
+    unweighted = dataclasses.replace(
+        f, anchors=tuple((a, b, 1, plan) for a, b, _, plan in f.anchors))
     host = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(InternalError, match="none is left"):
         greedy_upper_bound(host, unweighted, 3)
