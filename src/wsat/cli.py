@@ -34,6 +34,7 @@ from .experiments import (
     run_experiment,
 )
 from .formulas import (
+    _PARAMETERS,
     FormulaQuery,
     closed_form_wsat,
     construct_complete_host_saturator,
@@ -44,7 +45,6 @@ from .graph import (
     Graph,
     Seed,
     build_named_graph,
-    complete,
     decode_edge_list,
     encode_edge_list,
     sample_gnp,
@@ -178,10 +178,7 @@ def cmd_construct(args) -> int:
         raise ParameterError(f"--m must be at least {least}")
     if args.method == "complete":
         m = args.m if args.m is not None else max(f.delta - 1, 1)
-        if args.core:
-            core = parse_graph_arg(args.core, seed)
-        else:
-            core = greedy_upper_bound(complete(m), f, Seed(seed)).certificate[0]
+        core = parse_graph_arg(args.core, seed) if args.core else Seed(seed)
         h = construct_complete_host_saturator(args.n, f, m, core)
     else:
         host = parse_graph_arg(args.host, seed)
@@ -293,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_solve)
 
     c = sub.add_parser("formula", parents=[graphless], help="closed-form wsat values")
-    c.add_argument("--family", required=True, choices=["ks", "ktt", "kst", "k2t", "k1t"])
+    c.add_argument("--family", required=True, choices=list(_PARAMETERS))
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--s", type=int)
     c.add_argument("--t", type=int)

@@ -19,7 +19,7 @@ from math import comb, factorial
 from .errors import InternalError, ParameterError
 from .graph import (Graph, Seed, common_neighbors, complete, density_m, density_mu,
                     derive_seed, sample_gnp, seed_rng)
-from .patterns import Pattern, _iter_maps, contains_copy, count_copies
+from .patterns import Pattern, _plan, _search, contains_copy, count_copies
 from .solver import SearchBudget, WsatResult, wsat_exact
 
 
@@ -150,13 +150,13 @@ def neighborhood_property_check(
         sampled = True
     need = p**k * g.n / 2
     ks_less_01 = Graph(f.s, [e for e in combinations(range(f.s), 2) if e != (0, 1)])
-    big = 0
-    cliqued = 0
+    plan = _plan(ks_less_01, (0, 1))
+    big = cliqued = 0
     for sub in subsets:
         common = common_neighbors(g, sub)
         if len(common) >= need:
             big += 1
-        if k == 2 and next(_iter_maps(ks_less_01, g, dict(enumerate(sub))), None) is not None:
+        if k == 2 and next(_search(plan, g, [*sub] + [-1] * (f.s - 2), sub), None) is not None:
             cliqued += 1
     out = {
         "subsets_checked": len(subsets),

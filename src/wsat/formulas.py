@@ -20,7 +20,7 @@ from .errors import (
     StructureAbsentError,
 )
 from .graph import Graph, Seed, common_neighbors, complete
-from .patterns import Pattern, _iter_maps
+from .patterns import Pattern, _plan, _search
 from .solver import SearchBudget, greedy_upper_bound, wsat_exact
 
 
@@ -113,23 +113,26 @@ def generic_upper_bounds(
 
 
 def construct_complete_host_saturator(
-    n: int, f: Pattern, m: int, core: Graph
+    n: int, f: Pattern, m: int, core: Graph | Seed
 ) -> Graph:
     """Core-plus-fringe saturator for the complete host K_n.
 
     Places a verified weakly (K_m, F)-saturated core on vertices 0..m-1, then
     joins every outside vertex to the delta-1 lowest-labeled core vertices.
     |E(H)| = (delta-1)(n-m) + |E(core)|.  The result is verified weakly
-    (K_n, F)-saturated before being returned.
+    (K_n, F)-saturated before being returned.  A Seed ``core`` is greedy's
+    core on K_m under it, built once n and m are known to be in range.
 
     For F = K_s with m = s-2 and core = K_{s-2} this is the classical join
     construction attaining (s-2)n - C(s-1,2).
     """
     d = f.delta
-    if core.n != m:
+    if isinstance(core, Graph) and core.n != m:
         raise ParameterError(f"core has {core.n} vertices, expected m={m}")
     if not n >= m >= max(d - 1, 1):
         raise RangeError(f"need n >= m >= delta-1 (n={n}, m={m}, delta={d})")
+    if isinstance(core, Seed):
+        core = greedy_upper_bound(complete(m), f, core).certificate[0]
     if not is_weakly_saturated(complete(m), f, core):
         raise ConstructionError("core is not weakly (K_m, F)-saturated")
     edges = set(core.edge_set)
@@ -162,8 +165,12 @@ def construct_random_host_saturator(
     """
     d = f.delta
     # K_m's matching order is 0..m-1 and candidates ascend, so the first map
-    # of K_m is the lexicographically first m-clique
-    omega = next(map(tuple, _iter_maps(Graph(m, combinations(range(m), 2)), g)), None)
+    # of K_m is the lexicographically first m-clique; an m-clique needs m
+    # vertices of degree m-1, and building K_m's plan costs O(m^3)
+    omega = None
+    if sum(len(a) >= m - 1 for a in g.adj) >= m:
+        km = Graph(m, combinations(range(m), 2))
+        omega = next(map(tuple, _search(_plan(km, ()), g)), None)
     if omega is None:
         raise StructureAbsentError(f"host contains no clique of size {m}")
     omega_set = set(omega)
@@ -172,9 +179,8 @@ def construct_random_host_saturator(
     edges = {(labels[u], labels[v]) for u, v in core.edge_set}
     common = common_neighbors(g, omega)
     if d - 1 > m:
-        raise StructureAbsentError(
-            f"clique size {m} cannot host delta-1 = {d-1} edges per vertex"
-        )
+        raise StructureAbsentError(f"clique size {m} cannot host delta-1 = {d-1} "
+                                   "edges per vertex")
     for v in common:
         for u in omega[: d - 1]:
             edges.add((min(u, v), max(u, v)))
@@ -183,10 +189,8 @@ def construct_random_host_saturator(
     for v in far:
         targets = sorted(u for u in g.adj[v] if u in common_set)
         if len(targets) < d - 1:
-            raise StructureAbsentError(
-                f"vertex {v} has only {len(targets)} neighbors in N(Omega), "
-                f"needs {d-1}"
-            )
+            raise StructureAbsentError(f"vertex {v} has only {len(targets)} neighbors "
+                                       f"in N(Omega), needs {d-1}")
         for u in targets[: d - 1]:
             edges.add((min(u, v), max(u, v)))
     return _verified(g, f, Graph(g.n, edges), "clique-anchored construction")

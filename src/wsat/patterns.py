@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 from math import prod
 from typing import Optional
 
@@ -28,7 +27,7 @@ class Pattern:
     works out its own vertex order from ``graph``.  ``breaks`` holds pairs
     (b, w) for "map(b) < map(w)", under which an unpinned search yields one
     map per copy: w runs over b's orbit under the automorphisms fixing the
-    vertices before b in matching order.
+    vertices before b in matching order.  ``plan`` is that search's plan.
     """
 
     graph: Graph
@@ -45,6 +44,7 @@ class Pattern:
     anchors: tuple[tuple[int, int, int, tuple], ...]
 
     breaks: tuple[tuple[int, int], ...]
+    plan: tuple
 
 
 def _matching_order(g: Graph) -> tuple[int, ...]:
@@ -85,7 +85,7 @@ def normalize_pattern(f: Graph) -> Pattern:
     base = _matching_order(f)
     base_orbit = {b: {b} for b in base}
     aut = 0
-    for sigma in _iter_maps(f, f):
+    for sigma in _search(_plan(f, ()), f):
         aut += 1
         for i, (a, b) in enumerate(oriented):
             orbit[i] = min(orbit[i], index[sigma[a], sigma[b]])
@@ -94,6 +94,7 @@ def normalize_pattern(f: Graph) -> Pattern:
     orbits = prod(map(len, base_orbit.values()))
     if orbits != aut:
         raise InternalError(f"base orbits multiply to {orbits}, not |Aut(F)| = {aut}")
+    breaks = tuple((b, w) for b in base for w in sorted(base_orbit[b] - {b}))
     return Pattern(
         graph=f,
         s=f.n,
@@ -102,18 +103,19 @@ def normalize_pattern(f: Graph) -> Pattern:
         aut=aut,
         anchors=tuple((a, b, orbit.count(i), _plan(f, (a, b)))
                       for i, (a, b) in enumerate(oriented) if orbit[i] == i),
-        breaks=tuple((b, w) for b in base for w in sorted(base_orbit[b] - {b})),
+        breaks=breaks,
+        plan=_plan(f, (), breaks),
     )
 
 
 # -- core backtracking matcher -----------------------------------------------
 
 
-@cache
 def _plan(pat: Graph, pinned: tuple[int, ...], breaks=()) -> tuple:
-    """The vertices ``_iter_maps`` places, in matching order, as rows (pv, nbrs,
+    """The vertices ``_search`` places, in matching order, as rows (pv, nbrs,
     lows, deg): pv's neighbours placed before it, the b of each break (b, pv)
-    (matching order places b first) and pv's degree."""
+    (matching order places b first) and pv's degree.  No row checks an edge
+    between two ``pinned`` vertices; a caller pinning both ends checks it."""
     placed = set(pinned)
     plan = []
     for pv in _matching_order(pat):
@@ -124,32 +126,16 @@ def _plan(pat: Graph, pinned: tuple[int, ...], breaks=()) -> tuple:
     return tuple(plan)
 
 
-def _iter_maps(pat: Graph, host, fixed: dict[int, int] | None = None, breaks=()):
-    """Yield injective edge-preserving maps V(pat) -> V(host): ``_search``
-    from the cached ``_plan``, for callers with no stored plan.
-
-    ``host`` needs only ``.n`` and ``.adj`` (a sequence of sets), so callers
-    can pass mutable working graphs.  ``fixed`` pins pattern vertices onto
-    distinct host vertices; no pattern edge between two pinned vertices is
-    checked, so a caller that pins an edge's ends must check the host edge
-    itself.  ``breaks`` (unpinned searches only, e.g. ``Pattern.breaks``)
-    keeps only maps with map(b) < map(w) for each pair (b, w); ``_plan``
-    stores them in its rows, and each of w's pools starts past every map(b).
-    """
-    fixed = fixed or {}
-    mapping = [-1] * pat.n
-    for pv, hv in fixed.items():
-        mapping[pv] = hv
-    return _search(_plan(pat, tuple(fixed), breaks), host, mapping, fixed.values())
-
-
-def _search(plan: tuple, host, mapping: list[int], pinned):
+def _search(plan: tuple, host, mapping: list[int] | None = None, pinned=()):
     """The library's one search loop: extend ``mapping``, which holds the
-    ``pinned`` host vertices, over ``plan``'s rows, yielding the one live
-    ``mapping`` (copy it to keep it).  Depth-first with an explicit stack of
-    candidate iterators, candidates ascending.  A vertex's pool is the sorted
-    host neighbourhood of its one placed neighbour, or one ``&`` of two, or
-    one intersection of three or more; with none placed, every host vertex."""
+    ``pinned`` host vertices (None: none), over ``plan``'s rows, yielding the
+    one live ``mapping`` (copy it to keep it); ``host`` needs only ``.n`` and
+    ``.adj``.  Depth-first with an explicit stack of candidate iterators,
+    candidates ascending.  A vertex's pool is the sorted host neighbourhood of
+    its one placed neighbour, or one ``&`` of two, or one intersection of
+    three or more; with none placed, every host vertex."""
+    if mapping is None:
+        mapping = [-1] * len(plan)
     adj = host.adj
     used = [False] * host.n
     for hv in pinned:
@@ -197,18 +183,18 @@ def _search(plan: tuple, host, mapping: list[int], pinned):
 def contains_copy(g, f: Pattern) -> bool:
     """True iff an injective edge-preserving map F -> G exists, searched under
     ``f.breaks``: each copy keeps one map, so a miss is pruned earlier."""
-    return f.s <= g.n and any(True for _ in _iter_maps(f.graph, g, breaks=f.breaks))
+    return f.s <= g.n and any(True for _ in _search(f.plan, g))
 
 
 def count_injective_maps(g, f: Pattern) -> int:
     """Number of injective edge-preserving maps V(F) -> V(G)."""
-    return sum(1 for _ in _iter_maps(f.graph, g))
+    return sum(1 for _ in _search(_plan(f.graph, ()), g))
 
 
 def count_copies(g, f: Pattern) -> int:
     """Number of subgraphs of G isomorphic to F: the maps that satisfy
     ``f.breaks``, one per copy (equal to injective maps / |Aut(F)|)."""
-    return sum(1 for _ in _iter_maps(f.graph, g, breaks=f.breaks))
+    return sum(1 for _ in _search(f.plan, g))
 
 
 @dataclass(frozen=True)

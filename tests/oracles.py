@@ -20,7 +20,7 @@ from wsat.bootstrap import (
 from wsat.errors import InternalError, PreconditionError
 from wsat.graph import Edge, Graph, Seed, seed_rng
 from wsat.patterns import (
-    CopyWitness, Pattern, _iter_maps, contains_copy, copy_through_edge)
+    CopyWitness, Pattern, _plan, _search, contains_copy, copy_through_edge)
 from wsat.solver import WsatResult, lower_bound_general
 
 
@@ -35,6 +35,15 @@ def validate(g: Graph) -> None:
                 raise InternalError(f"asymmetric pair ({u},{v})")
     if 2 * g.m_edges != sum(len(s) for s in g.adj):
         raise InternalError("edge count disagrees with the adjacency sets")
+
+
+def every_map(pat: Graph, host, fixed: dict[int, int] | None = None) -> list[tuple[int, ...]]:
+    """Every map of ``pat`` into ``host`` sending each vertex pinned in
+    ``fixed`` to its host vertex, in search order, from a fresh ``_plan``.
+    No pattern edge between two pinned vertices is checked."""
+    fixed = fixed or {}
+    mapping = [fixed.get(pv, -1) for pv in range(pat.n)]
+    return [tuple(m) for m in _search(_plan(pat, tuple(fixed)), host, mapping, fixed.values())]
 
 
 def validates_naive(mapping, g: Graph, f: Pattern, through=None) -> bool:
@@ -142,7 +151,7 @@ def greedy_naive(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult:
         # edges to t distinct host edges, so each edge is counted
         # |copies through it| * |Aut(F)| times
         through: Counter = Counter()
-        for mapping in _iter_maps(f.graph, current):
+        for mapping in every_map(f.graph, current):
             for x, y in f.graph.edge_set:
                 a, b = mapping[x], mapping[y]
                 through[(a, b) if a < b else (b, a)] += 1

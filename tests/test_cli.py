@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wsat
 from wsat import ParameterError, Seed, complete, encode_edge_list, path, sample_gnp, star
 from wsat.cli import main, parse_graph_arg
 
@@ -154,6 +158,23 @@ def test_construct_structure_absent_exits_1(capsys):
                        "--pattern", "complete:3", "--host", "path:6",
                        "--m", "3")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["random", "--host", "complete:5", "--pattern", "complete:3", "--m", "900"],
+     "error: host contains no clique of size 900\n"),
+    (["complete", "--pattern", "complete:3", "--n", "5", "--m", "300"],
+     "error: need n >= m >= delta-1 (n=5, m=300, delta=2)\n"),
+])
+def test_construct_with_m_out_of_reach_fails_fast(argv, error):
+    # the clique size is checked against the host's degrees before K_m's
+    # O(m^3) matching order is built, and n >= m before greedy's core on K_m;
+    # either piece of work takes far longer than the timeout at these m
+    script = "import sys; from wsat.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(wsat.__file__))}
+    out = subprocess.run([sys.executable, "-c", script, "construct", *argv], env=env,
+                         capture_output=True, text=True, timeout=5)
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", error)
 
 
 def test_count_command(capsys):

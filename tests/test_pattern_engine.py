@@ -24,9 +24,9 @@ from wsat import (
     sample_gnp,
     star,
 )
-from wsat.patterns import _iter_maps, _maps_through, _matching_order, _plan
+from wsat.patterns import _maps_through, _matching_order, _plan, _search
 from conftest import random_host, small_hosts
-from oracles import validates_naive
+from oracles import every_map, validates_naive
 
 
 def test_normalize_strips_isolated_vertices():
@@ -208,8 +208,8 @@ def _copy_through_edge_all_anchors(g, f, e):
     u, v = sorted(e)
     for a, b in sorted(f.graph.edge_set):
         for hu, hv in ((u, v), (v, u)):
-            for mapping in _iter_maps(f.graph, g, {a: hu, b: hv}):
-                return CopyWitness(tuple(mapping[i] for i in range(f.s)))
+            for mapping in every_map(f.graph, g, {a: hu, b: hv}):
+                return CopyWitness(mapping)
     return None
 
 
@@ -240,6 +240,7 @@ def test_anchor_orbits():
             assert size == len({(sigma[a], sigma[b]) for sigma in autos})
             assert plan == _plan(f.graph, (a, b))
         assert sum(size for _, _, size, _ in f.anchors) == 2 * f.t
+        assert f.plan == _plan(f.graph, (), f.breaks)
 
 
 @settings(max_examples=100, deadline=None)
@@ -270,7 +271,7 @@ def test_maps_through_weights_count_every_map(g, name):
     # whose image contains e, and the first anchored map is the witness
     f = ORBIT_PATTERNS[name]
     images = [{tuple(sorted((m[a], m[b]))) for a, b in f.graph.edge_set}
-              for m in _iter_maps(f.graph, g)]
+              for m in every_map(f.graph, g)]
     for u, v in g.edges():
         anchored = [(tuple(m), size) for m, size in _maps_through(g, f, u, v)]
         assert sum(size for _, size in anchored) == sum((u, v) in im for im in images)
@@ -285,7 +286,7 @@ def _check_matcher_contract(g, f, brute):
     assert count_injective_maps(g, f) == len(brute)
     assert contains_copy(g, f) == bool(brute)
     # the matcher yields one live map; snapshot each one as it is yielded
-    maps = [tuple(m) for m in _iter_maps(f.graph, g)]
+    maps = every_map(f.graph, g)
     assert all(CopyWitness(m).validates(g, f) for m in maps)
     # candidates are tried in ascending order at each step, so the maps come
     # in lexicographic order of the images of the matching order, unpinned,
@@ -299,9 +300,8 @@ def _check_matcher_contract(g, f, brute):
             by_pin.setdefault((p[a], p[b]), []).append(p)
         for u, v in g.edges():
             for hu, hv in ((u, v), (v, u)):
-                pinned = [tuple(m) for m in _iter_maps(f.graph, g, {a: hu, b: hv})]
-                assert pinned == by_pin.get((hu, hv), [])
-    canonical = [tuple(m) for m in _iter_maps(f.graph, g, breaks=f.breaks)]
+                assert every_map(f.graph, g, {a: hu, b: hv}) == by_pin.get((hu, hv), [])
+    canonical = [tuple(m) for m in _search(f.plan, g)]
     assert canonical == [p for p in brute if all(p[b] < p[w] for b, w in f.breaks)]
     assert count_copies(g, f) * f.aut == len(brute)
 
@@ -357,7 +357,7 @@ def witness_cases(draw):
     pairs = list(combinations(range(n), 2))
     g = Graph(n, set(pairs) - set(draw(st.lists(st.sampled_from(pairs), max_size=4))))
     f = ORBIT_PATTERNS[draw(st.sampled_from(sorted(ORBIT_PATTERNS)))]
-    maps = [tuple(m) for m in _iter_maps(f.graph, g)]
+    maps = every_map(f.graph, g)
     if maps and draw(st.booleans()):
         top = [m for m in maps if n - 1 in m]
         if top and draw(st.booleans()):
