@@ -128,8 +128,8 @@ def _plan(pat: Graph, pinned: tuple[int, ...], breaks=()) -> tuple:
 
 def _search(plan: tuple, host, mapping: list[int] | None = None, pinned=()):
     """The library's one search loop: extend ``mapping``, which holds the
-    ``pinned`` host vertices (None: none), over ``plan``'s rows, yielding the
-    one live ``mapping`` (copy it to keep it); ``host`` needs only ``.n`` and
+    ``pinned`` host vertices (None: no pins), over ``plan``'s rows, yielding
+    the one live ``mapping`` (copy it to keep it); ``host`` needs only ``.n`` and
     ``.adj``.  Depth-first with an explicit stack of candidate iterators,
     candidates ascending.  A vertex's pool is the sorted host neighbourhood of
     its one placed neighbour, or one ``&`` of two, or one intersection of
