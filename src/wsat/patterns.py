@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import prod
 from typing import Optional
 
@@ -49,22 +50,24 @@ class Pattern:
 
 def _matching_order(g: Graph) -> tuple[int, ...]:
     """Connectivity-first vertex order: start each component at its highest
-    degree vertex, then grow by neighbors (ties broken by index)."""
+    degree vertex, then grow by the vertex with the most placed neighbours
+    (ties broken by index).  Each placement raises its neighbours' counts and
+    pushes them on a heap, whose stale rows rank behind their fresher ones."""
     order: list[int] = []
     placed = [False] * g.n
+    hits = [0] * g.n  # placed neighbours
+    frontier: list[tuple[int, int]] = []  # (-hits, x)
+    starts = iter(sorted(range(g.n), key=lambda x: (-len(g.adj[x]), x)))
     while len(order) < g.n:
-        frontier = [
-            v for v in range(g.n) if not placed[v] and any(placed[u] for u in g.adj[v])
-        ]
-        if frontier:
-            v = max(frontier, key=lambda x: (sum(placed[u] for u in g.adj[x]), -x))
-        else:
-            v = max(
-                (x for x in range(g.n) if not placed[x]),
-                key=lambda x: (len(g.adj[x]), -x),
-            )
+        while frontier and placed[frontier[0][1]]:
+            heappop(frontier)
+        v = heappop(frontier)[1] if frontier else next(x for x in starts if not placed[x])
         placed[v] = True
         order.append(v)
+        for u in g.adj[v]:
+            if not placed[u]:
+                hits[u] += 1
+                heappush(frontier, (-hits[u], u))
     return tuple(order)
 
 

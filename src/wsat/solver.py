@@ -5,12 +5,13 @@ whose F-closure percolates to G.  The exact solver runs iterative deepening
 over k-edge spanning subgraphs with a degree filter, from a matroid rank
 bound: a table of the rigidity matroids and the even-cycle matroid, in which
 a qualifying F gives wsat >= r(G), plus one when every F - e is dependent.
-Each level walks the m - k left-out edges in lexicographic order of the
-reversed edge list (colex order on the kept edges) and reads the clock at
-every subset.  The greedy solver reverse-deletes edges lying in copies of F,
-which always leaves a weakly saturated graph.  It finds the maps of F
-through an edge with ``copy_through_edge``'s anchored search, one anchor per
-Aut(F)-orbit of oriented pattern edges, each map weighted by its orbit's size.
+Edges in no copy of F are always kept, and each level walks the m - k
+left-out edges among the others, in lexicographic order of their reversed
+list (colex order on the kept edges), reading the clock at every subset.
+The greedy solver reverse-deletes edges lying in copies of F, which always
+leaves a weakly saturated graph.  It finds the maps of F through an edge
+with ``copy_through_edge``'s anchored search, one anchor per Aut(F)-orbit
+of oriented pattern edges, each map weighted by its orbit's size.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Iterator, Optional
 from .bootstrap import ActivationTrace, _Work, closure
 from .errors import InternalError, ParameterError, PreconditionError
 from .graph import Graph, Seed, seed_rng
-from .patterns import CopyWitness, Pattern, _maps_through, contains_copy
+from .patterns import CopyWitness, Pattern, _maps_through, contains_copy, copy_through_edge
 
 
 @dataclass
@@ -156,14 +157,21 @@ def wsat_exact(
     up (a solved result still reports the general bound as ``lower``); at
     each k, enumerates k-edge spanning subgraphs, discards any whose vertex
     degrees fall below min{d_G(v), delta(F)-1}, then tests F-freeness and
-    percolation.  If the host itself has no copy of F, the host is the
-    unique weakly saturated graph and the answer is |E(G)| immediately.
+    percolation.  Every edge in no copy of F is kept, each level walks only
+    the other edges, and ``nodes`` counts subsets of those edges.  If no
+    edge is in a copy, the host is the unique weakly saturated graph and
+    the answer is |E(G)| immediately.
     """
     budget = budget or SearchBudget()
     start = time.monotonic()
     m = g.m_edges
+    # a closure adds an edge only through a copy of F, so every weakly
+    # saturated H keeps each edge in no copy (E0).  A walk of the other edges
+    # meets the subsets that keep E0 in the colex order a walk of all edges
+    # does, so its first percolating subset is the same
+    droppable = [e for e in g.edges()[::-1] if copy_through_edge(g, f, e) is not None]
 
-    if not contains_copy(g, f):
+    if not droppable:
         # no edge of the host can ever complete a copy of F, so H = G is forced
         return WsatResult(
             lower=m,
@@ -178,12 +186,11 @@ def wsat_exact(
     # below half the degree sum the degree filter rejects every k-subset
     k = max(lower, _rank_bound(g, f), -(-sum(need) // 2))
     nodes = 0
-    reversed_edges = g.edges()[::-1]
 
     while k <= m:
         # lex order on the m - k left-out edges of the reversed edge list is
         # colex order on the k kept edges of the sorted one
-        for dropped in combinations(reversed_edges, m - k):
+        for dropped in combinations(droppable, m - k):
             if nodes >= budget.max_nodes or time.monotonic() - start > budget.max_seconds:
                 return WsatResult(lower=k, upper=m, budget_exceeded=True, nodes=nodes)
             nodes += 1

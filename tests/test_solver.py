@@ -33,7 +33,7 @@ from wsat import (
 from wsat import solver
 from wsat.solver import _qualifying, _rank_bound
 from conftest import random_host, small_hosts
-from oracles import greedy_naive, wsat_exact_naive
+from oracles import every_map, greedy_naive, wsat_exact_naive
 
 
 def test_lower_bound_examples(k3, k13):
@@ -152,6 +152,33 @@ def test_certificate_is_first_saturated_subset_in_colex_order(host, pattern):
     subgraphs = (Graph(host.n, (edges[i] for i in s)) for s in colex)
     first = next(h for h in subgraphs if is_weakly_saturated(host, f, h))
     assert res.certificate[0] == first
+
+
+# K4 and K_{2,3} are left out: the oracle takes seconds on a dense 6-vertex host
+@settings(max_examples=100, deadline=None)
+@given(small_hosts(6), st.sampled_from([complete(3), path(3), cycle(4), star(3), matching(2)]))
+# wsat 3, but 4 with (0,1), the first edge in a copy, kept: a rule that keeps
+# one edge too many moves the value here
+@example(Graph(6, [(0, 1), (0, 3), (0, 4), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)]), star(3))
+def test_exact_search_keeps_edges_in_no_copy(host, pattern):
+    # a closure adds an edge only through a copy of F, so the search walks
+    # only the other edges; the value still matches the unpruned oracle
+    f = normalize_pattern(pattern)
+    res = wsat_exact(host, f)
+    assert res.exact == wsat_exact_naive(host, f)
+    in_copy = {tuple(sorted((m[a], m[b]))) for m in every_map(f.graph, host)
+               for a, b in f.graph.edges()}
+    assert host.edge_set - in_copy <= res.certificate[0].edge_set
+
+
+def test_exact_search_skips_a_pendant_path(k3):
+    # K5 with the pendant path 4-5-6-7: the path's three edges lie in no
+    # triangle, so the search drops only K5 edges and its first subset, the
+    # star at 0 plus the path, percolates (a walk of all 13 edges took 1,507)
+    host = Graph(8, [*complete(5).edges(), (4, 5), (5, 6), (6, 7)])
+    res = wsat_exact(host, k3)
+    assert (res.exact, res.nodes) == (7, 1)
+    assert res.certificate[0].edges() == [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6), (6, 7)]
 
 
 # theta(1,2,3), three paths of lengths 1, 2 and 3 between two vertices,
