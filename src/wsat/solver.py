@@ -1,10 +1,11 @@
 """Exact and approximate computation of wsat(G,F).
 
 wsat(G,F) is the minimum edge count of a spanning F-free subgraph H of G
-whose F-closure percolates to G.  The exact solver runs iterative deepening
-over k-edge spanning subgraphs with a degree filter, from a matroid rank
-bound: a table of the rigidity matroids and the even-cycle matroid, in which
-a qualifying F gives wsat >= r(G), plus one when every F - e is dependent.
+whose F-closure percolates to G; a fewest-edge percolating H is F-free, so
+the exact solver tests subsets by their closure alone.  It deepens over
+k-edge spanning subgraphs with a degree filter from lower bounds on wsat,
+among them a matroid rank bound: in the rigidity and even-cycle matroids a
+qualifying F gives wsat >= r(G), plus one when every F - e is dependent.
 Edges in no copy of F are always kept, and each level walks the m - k
 left-out edges among the others, in lexicographic order of their reversed
 list (colex order on the kept edges), reading the clock at every subset.
@@ -28,7 +29,7 @@ from typing import Callable, Iterator, Optional
 from .bootstrap import ActivationTrace, _Work, closure
 from .errors import InternalError, ParameterError, PreconditionError
 from .graph import Graph, Seed, seed_rng
-from .patterns import CopyWitness, Pattern, _maps_through, contains_copy, copy_through_edge
+from .patterns import CopyWitness, Pattern, _maps_through, copy_through_edge
 
 
 @dataclass
@@ -156,19 +157,20 @@ def wsat_exact(
     rank bound and half the sum over v of min{d_G(v), delta(F)-1}, rounded
     up (a solved result still reports the general bound as ``lower``); at
     each k, enumerates k-edge spanning subgraphs, discards any whose vertex
-    degrees fall below min{d_G(v), delta(F)-1}, then tests F-freeness and
-    percolation.  Every edge in no copy of F is kept, each level walks only
-    the other edges, and ``nodes`` counts subsets of those edges.  If no
-    edge is in a copy, the host is the unique weakly saturated graph and
-    the answer is |E(G)| immediately.
+    degrees fall below min{d_G(v), delta(F)-1}, then tests percolation.  A
+    copy of F through e in H would let the closure of H - e add e back, so a
+    fewest-edge percolating H is F-free, and the first percolating subset is
+    one because every start term is a lower bound on wsat.  Every edge in no
+    copy of F is kept, each level walks only the other edges, and ``nodes``
+    counts subsets of those edges.  If no edge is in a copy, the host is the
+    unique weakly saturated graph and the answer is |E(G)| immediately.
     """
     budget = budget or SearchBudget()
     start = time.monotonic()
     m = g.m_edges
-    # a closure adds an edge only through a copy of F, so every weakly
-    # saturated H keeps each edge in no copy (E0).  A walk of the other edges
-    # meets the subsets that keep E0 in the colex order a walk of all edges
-    # does, so its first percolating subset is the same
+    # a closure adds an edge only through a copy of F, so every percolating H
+    # keeps each edge in no copy (E0).  A walk of the other edges meets the
+    # subsets that keep E0 in the colex order a walk of all edges does
     droppable = [e for e in g.edges()[::-1] if copy_through_edge(g, f, e) is not None]
 
     if not droppable:
@@ -201,8 +203,6 @@ def wsat_exact(
             if any(deg[v] < need[v] for v in range(g.n)):
                 continue
             h = Graph(g.n, g.edge_set.difference(dropped))
-            if contains_copy(h, f):
-                continue
             res = closure(g, f, h)
             if res.percolates:
                 return WsatResult(
@@ -213,8 +213,7 @@ def wsat_exact(
                     nodes=nodes,
                 )
         k += 1
-    raise InternalError("unreachable: the host itself is always weakly saturated "
-                        "when it is F-free, and contains F otherwise, so some k succeeds")
+    raise InternalError("unreachable: the host itself percolates, so k = |E(G)| succeeds")
 
 
 def greedy_upper_bound(g: Graph, f: Pattern, seed: Seed | int = 0) -> WsatResult:

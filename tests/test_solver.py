@@ -15,8 +15,10 @@ from wsat import (
     SearchBudget,
     Seed,
     closed_form_wsat,
+    closure,
     complete,
     complete_bipartite,
+    contains_copy,
     count_copies,
     cycle,
     greedy_upper_bound,
@@ -142,16 +144,23 @@ def test_budget_nodes_counts_subsets_examined():
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_hosts(6), st.sampled_from([complete(3), path(3), cycle(4), star(3)]))
+@given(small_hosts(6), st.sampled_from([complete(3), path(3), cycle(4), star(3), matching(2),
+                                        Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])]))
+# wsat 7 at node 41: 12 of the 40 subsets before it contain K_{2,3}, 8 of them
+# with no isolated vertex, so past the degree filter
+@example(complete(6), complete_bipartite(2, 3))
 def test_certificate_is_first_saturated_subset_in_colex_order(host, pattern):
-    # colex order on the kept edges, written out without the solver's walk
+    # colex order on the kept edges, written out without the solver's walk and
+    # tested by percolation alone: a fewest-edge percolating graph is F-free,
+    # since a copy of F through e would let the closure of H - e add e back
     f = normalize_pattern(pattern)
     res = wsat_exact(host, f)
     edges = host.edges()
     colex = sorted(combinations(range(len(edges)), res.exact), key=lambda s: s[::-1])
     subgraphs = (Graph(host.n, (edges[i] for i in s)) for s in colex)
-    first = next(h for h in subgraphs if is_weakly_saturated(host, f, h))
+    first = next(h for h in subgraphs if closure(host, f, h).percolates)
     assert res.certificate[0] == first
+    assert not contains_copy(first, f)
 
 
 # K4 and K_{2,3} are left out: the oracle takes seconds on a dense 6-vertex host
