@@ -60,9 +60,17 @@ def _ints(xs, length: int | None = None) -> bool:
 
 @dataclass
 class ClosureResult:
-    closure: Graph
+    host: Graph
     trace: ActivationTrace
-    percolates: bool
+    missing: frozenset[Edge]  # the host edges the closure does not reach
+
+    @property
+    def closure(self) -> Graph:
+        return Graph(self.host.n, self.host.edge_set - self.missing)
+
+    @property
+    def percolates(self) -> bool:
+        return not self.missing
 
 
 class _Work:
@@ -89,7 +97,7 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     Candidates that find no copy are set aside; every successful addition
     re-enqueues all of them, since the new edge may complete a copy through
     any of them.  The loop ends with the queue empty, so the set-aside edges
-    are exactly the host edges the closure misses.
+    are exactly ``missing``, the host edges the closure does not reach.
 
     For F = K_s, a re-enqueued edge xy goes back aside unsearched unless an
     edge added since xy last failed touched a common neighbour z of x and y.
@@ -100,36 +108,28 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     if not seed.is_spanning_subgraph_of(host):
         raise PreconditionError("seed must be a spanning subgraph of the host")
     work = _Work(seed)
-    queue = deque(sorted(host.edge_set - seed.edge_set))
-    stalled: set[Edge] = set()
+    queue = deque((e, None) for e in sorted(host.edge_set - seed.edge_set))
+    stalled: dict[Edge, int | None] = {}  # len(steps) at its last failure if F = K_s, else None
     steps: list[tuple[Edge, CopyWitness]] = []
     clique = 2 * f.t == f.s * (f.s - 1)
     touched = [0] * host.n  # len(steps) after the last added edge at v
-    failed_at: dict[Edge, int] = {}  # len(steps) when a clique's edge failed
     while queue:
-        e = queue.popleft()
+        e, k = queue.popleft()
         x, y = e
-        k = failed_at.get(e)
         if k is not None and not any(touched[z] > k for z in work.adj[x] & work.adj[y]):
-            stalled.add(e)
+            stalled[e] = k
             continue
         work.add(x, y)
         w = copy_through_edge(work, f, e)
         if w is None:
             work.remove(x, y)
-            stalled.add(e)
-            if clique:
-                failed_at[e] = len(steps)
+            stalled[e] = len(steps) if clique else None
             continue
         steps.append((e, w))
         touched[x] = touched[y] = len(steps)
-        queue.extend(sorted(stalled))
+        queue.extend(sorted(stalled.items()))
         stalled.clear()
-    return ClosureResult(
-        closure=Graph(host.n, host.edge_set - stalled),
-        trace=ActivationTrace(steps),
-        percolates=not stalled,
-    )
+    return ClosureResult(host, ActivationTrace(steps), frozenset(stalled))
 
 
 def saturation_failure(host: Graph, f: Pattern, h: Graph) -> dict | None:
@@ -140,7 +140,7 @@ def saturation_failure(host: Graph, f: Pattern, h: Graph) -> dict | None:
         raise PreconditionError("H must be a spanning subgraph of the host")
     if contains_copy(h, f):
         return {"reason": "candidate contains a copy of the pattern"}
-    missing = host.edge_set - closure(host, f, h).closure.edge_set
+    missing = closure(host, f, h).missing
     if missing:
         return {"reason": "closure stalled", "first_unreachable_edge": min(missing)}
     return None

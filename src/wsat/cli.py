@@ -110,7 +110,7 @@ def _emit(payload: dict, summary: str, args) -> None:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def cmd_closure(args) -> int:
+def cmd_closure(args) -> None:
     host = parse_graph_arg(args.host, args.rng_seed)
     f = parse_pattern_arg(args.pattern)
     seed_graph = parse_graph_arg(args.seed, args.rng_seed)
@@ -123,10 +123,9 @@ def cmd_closure(args) -> int:
     }
     _emit(payload, f"closure added {len(res.trace)} edges; "
                    f"percolates={res.percolates}", args)
-    return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     host = parse_graph_arg(args.host, args.rng_seed)
     f = parse_pattern_arg(args.pattern)
     seed_graph = parse_graph_arg(args.seed, args.rng_seed)
@@ -134,10 +133,9 @@ def cmd_verify(args) -> int:
     ok, idx, reason = verify_trace_detailed(host, f, seed_graph, trace)
     _emit({"valid": ok, "first_failure": idx, "reason": reason},
           f"trace valid={ok} ({reason})", args)
-    return 0
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     seed = args.rng_seed
     host = parse_graph_arg(args.host, seed)
     f = parse_pattern_arg(args.pattern)
@@ -154,10 +152,9 @@ def cmd_solve(args) -> int:
             payload["upper"] = best.upper
     _emit(payload, f"wsat: exact={res.exact} lower={payload['lower']} "
                    f"upper={payload['upper']}", args)
-    return 0
 
 
-def cmd_formula(args) -> int:
+def cmd_formula(args) -> None:
     q = FormulaQuery(family=args.family, n=args.n, s=args.s, t=args.t)
     value = closed_form_wsat(q)
     if isinstance(value, tuple):
@@ -167,10 +164,9 @@ def cmd_formula(args) -> int:
         payload = {"family": args.family, "n": args.n, "value": value}
         summary = f"wsat = {value}"
     _emit(payload, summary, args)
-    return 0
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> None:
     seed = args.rng_seed
     f = parse_pattern_arg(args.pattern)
     least = 1 if args.method == "complete" else 0
@@ -191,20 +187,18 @@ def cmd_construct(args) -> int:
         "edge_list": encode_edge_list(h),
     }
     _emit(payload, f"construction verified: {h.m_edges} edges on {h.n} vertices", args)
-    return 0
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> None:
     f = parse_pattern_arg(args.pattern)
     budget = SearchBudget(args.budget_nodes, args.budget_seconds)
     prof = stability_profile(f, args.nmax, budget)
     payload = asdict(prof)
     payload["d_f"] = payload.pop("d_F")
     _emit(payload, f"profile: d_F={prof.d_F} k={prof.k} ({prof.note})", args)
-    return 0
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> None:
     seed = args.rng_seed
     f = parse_pattern_arg(args.pattern)
     pgrid = [_number(float, x) for x in args.pgrid.split(",")]
@@ -219,24 +213,21 @@ def cmd_experiment(args) -> int:
     if not args.json:
         print(f"{args.mode}: {len(report.records)} trials over "
               f"{len(pgrid)} p-values", file=sys.stderr)
-    return 0
 
 
-def cmd_neighborhood(args) -> int:
+def cmd_neighborhood(args) -> None:
     f = parse_pattern_arg(args.pattern)
     host = parse_graph_arg(args.host, args.rng_seed)
     rep = neighborhood_property_check(host, f, args.k, args.p, args.cap, Seed(args.rng_seed))
     _emit(rep, "neighborhood fractions: "
                f"{rep['fraction_common_ge_floor']:.3f} common-size floor", args)
-    return 0
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> None:
     host = parse_graph_arg(args.host, args.rng_seed)
     f = parse_pattern_arg(args.pattern)
     c = count_copies(host, f)
     _emit({"copies": c, "aut": f.aut}, f"{c} copies", args)
-    return 0
 
 
 # -- parser ------------------------------------------------------------------
@@ -347,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -358,6 +349,7 @@ def main(argv=None) -> int:
             msg += f" ({diag})"
         print(msg, file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

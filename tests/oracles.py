@@ -85,8 +85,7 @@ def closure_naive(host: Graph, f: Pattern, seed: Graph, scan_order=None) -> Clos
                 steps.append((e, w))
                 missing.remove(e)
                 progress = True
-    closed = Graph(host.n, seed.edge_set.union(e for e, _ in steps))
-    return ClosureResult(closed, ActivationTrace(steps), closed.edge_set == host.edge_set)
+    return ClosureResult(host, ActivationTrace(steps), frozenset(missing))
 
 
 def closure_requeue_all(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
@@ -110,11 +109,7 @@ def closure_requeue_all(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
         steps.append((e, w))
         queue.extend(sorted(stalled))
         stalled.clear()
-    return ClosureResult(
-        closure=Graph(host.n, host.edge_set - stalled),
-        trace=ActivationTrace(steps),
-        percolates=not stalled,
-    )
+    return ClosureResult(host, ActivationTrace(steps), frozenset(stalled))
 
 
 def wsat_exact_naive(g: Graph, f: Pattern) -> int:

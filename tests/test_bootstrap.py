@@ -88,7 +88,7 @@ VERDICT_PATTERNS = [normalize_pattern(g) for g in (
 def test_saturation_failure_against_naive_closure(host, f, mask):
     # bit i of mask keeps the i-th host edge in H
     h = Graph(host.n, [e for i, e in enumerate(host.edges()) if mask >> i & 1])
-    missing = sorted(host.edge_set - closure_naive(host, f, h).closure.edge_set)
+    missing = sorted(closure_naive(host, f, h).missing)
     if contains_copy(h, f):
         want = {"reason": "candidate contains a copy of the pattern"}
     elif missing:
@@ -285,6 +285,7 @@ def test_closure_matches_requeue_all(host, mask):
     for f in WAKE_PATTERNS:
         res, ref = closure(host, f, seed), closure_requeue_all(host, f, seed)
         assert res.trace.to_json() == ref.trace.to_json()
+        assert res.missing == ref.missing
         assert res.closure == ref.closure
         assert res.percolates is ref.percolates
 
