@@ -36,7 +36,6 @@ from .patterns import (
     contains_copy,
     copy_through_edge,
     count_copies,
-    count_injective_maps,
     normalize_pattern,
 )
 from .bootstrap import (

@@ -189,11 +189,6 @@ def contains_copy(g, f: Pattern) -> bool:
     return f.s <= g.n and any(True for _ in _search(f.plan, g))
 
 
-def count_injective_maps(g, f: Pattern) -> int:
-    """Number of injective edge-preserving maps V(F) -> V(G)."""
-    return sum(1 for _ in _search(_plan(f.graph, ()), g))
-
-
 def count_copies(g, f: Pattern) -> int:
     """Number of subgraphs of G isomorphic to F: the maps that satisfy
     ``f.breaks``, one per copy (equal to injective maps / |Aut(F)|)."""

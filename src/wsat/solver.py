@@ -75,10 +75,13 @@ def lower_bound_general(g: Graph, f: Pattern) -> int:
 _PRIME = 2**31 - 1
 
 
-def _rank(rows) -> int:
-    """Rank over GF(2^31 - 1) of a sequence of rows, by Gaussian elimination."""
+def _rank(rows, full: int) -> int:
+    """Rank over GF(2^31 - 1) of a sequence of rows, by Gaussian elimination
+    that stops once the basis holds ``full`` rows, a rank no rows can pass."""
     basis: list[tuple[int, list[int]]] = []  # (pivot, row) with row[pivot] == 1
     for row in rows:
+        if len(basis) == full:
+            break
         for pivot, b in basis:
             c = row[pivot]
             if c:
@@ -104,18 +107,39 @@ def _rigidity_rows(d: int, n: int, edges) -> Iterator[list[int]]:
         yield row
 
 
-def _even_cycle_rows(n: int, edges) -> Iterator[list[int]]:
-    """Rows e_u + e_v of the even-cycle matroid; over GF(p), p odd, their rank
-    is exactly n - b(G), b(G) counting bipartite components."""
+def _rigidity_rank(d: int, n: int, edges) -> int:
+    """``_rigidity_rows``' rank, stopped at the rank of K_n in dimension d."""
+    full = d * n - d * (d + 1) // 2 if n > d else n * (n - 1) // 2
+    return _rank(_rigidity_rows(d, n, edges), full)
+
+
+def _counted_rank(odd: bool, n: int, edges) -> int:
+    """Graphic rank n - c(G), the rigidity rank for d = 1, or with ``odd`` the
+    even-cycle rank n - b(G), b(G) counting bipartite components (isolated
+    vertices too): a union-find, merging by size, that keeps each vertex's
+    parity to its parent and marks the roots of components with an odd cycle."""
+    parent, parity, size, cyclic = list(range(n)), [0] * n, [1] * n, [False] * n
+
+    def find(v: int) -> tuple[int, int]:
+        side = 0
+        while parent[v] != v:
+            side, v = side ^ parity[v], parent[v]
+        return v, side
+
     for u, v in edges:
-        row = [0] * n
-        row[u] = row[v] = 1
-        yield row
+        (a, pa), (b, pb) = find(u), find(v)
+        if size[a] > size[b]:
+            a, b = b, a
+        if a != b:
+            parent[a], parity[a], size[b] = b, pa ^ pb ^ 1, size[a] + size[b]
+        cyclic[b] = cyclic[a] or cyclic[b] or (a == b and pa == pb)
+    roots = [v for v in range(n) if parent[v] == v]
+    return n - len(roots) + (sum(cyclic[v] for v in roots) if odd else 0)
 
 
 @cache
 def _qualifying(f: Pattern) -> MappingProxyType[str, tuple[Callable, int]]:
-    """Name -> (row builder, +1 term) of each matroid in which F qualifies,
+    """Name -> (rank function, +1 term) of each matroid in which F qualifies,
     worked out once per pattern and shared read-only by every solve.
 
     ``top`` bounds r(F) from above: the rank of K_s for the rigidity matroids
@@ -125,11 +149,11 @@ def _qualifying(f: Pattern) -> MappingProxyType[str, tuple[Callable, int]]:
     t - 1 > top, which certifies that every F - e is dependent.
     """
     edges = f.graph.edges()
-    table = [(f"rigidity-{d}", partial(_rigidity_rows, d), d * f.s - d * (d + 1) // 2)
-             for d in range(1, f.s - 1)]
-    table.append(("even-cycle", _even_cycle_rows, _rank(_even_cycle_rows(f.s, edges))))
-    return MappingProxyType({name: (rows, int(f.t - 1 > top)) for name, rows, top in table
-                             if all(_rank(rows(f.s, [x for x in edges if x != e])) >= top
+    table = [(f"rigidity-{d}", partial(_rigidity_rank, d) if d > 1 else
+              partial(_counted_rank, False), d * f.s - d * (d + 1) // 2) for d in range(1, f.s - 1)]
+    table.append(("even-cycle", partial(_counted_rank, True), _counted_rank(True, f.s, edges)))
+    return MappingProxyType({name: (rank, int(f.t - 1 > top)) for name, rank, top in table
+                             if all(rank(f.s, [x for x in edges if x != e]) >= top
                                     for e in edges)})
 
 
@@ -143,7 +167,7 @@ def _rank_bound(g: Graph, f: Pattern) -> int:
     |H| >= r(G) + 1.  An F-free host has wsat = |E(G)|, hence the cap.
     """
     edges = g.edges()
-    bound = max((_rank(rows(g.n, edges)) + plus for rows, plus in _qualifying(f).values()),
+    bound = max((rank(g.n, edges) + plus for rank, plus in _qualifying(f).values()),
                 default=0)
     return min(g.m_edges, bound)
 

@@ -4,9 +4,11 @@
 All are deliberately unoptimized: ``closure_naive`` rescans every missing
 edge after each addition, ``closure_requeue_all`` re-tests every set-aside
 edge after each addition, ``wsat_exact_naive`` tries every edge subset in
-increasing size, and ``greedy_naive`` re-enumerates every map of F into the
-current graph in each deletion round.  They are not part of the ``wsat``
-package.
+increasing size, ``greedy_naive`` re-enumerates every map of F into the
+current graph in each deletion round, ``count_injective_maps`` counts maps
+with no symmetry breaking, and ``even_cycle_rows`` gives the even-cycle
+matroid as rows for a Gaussian elimination.  They are not part of the
+``wsat`` package.
 """
 
 from collections import Counter, deque
@@ -44,6 +46,20 @@ def every_map(pat: Graph, host, fixed: dict[int, int] | None = None) -> list[tup
     fixed = fixed or {}
     mapping = [fixed.get(pv, -1) for pv in range(pat.n)]
     return [tuple(m) for m in _search(_plan(pat, tuple(fixed)), host, mapping, fixed.values())]
+
+
+def count_injective_maps(g, f: Pattern) -> int:
+    """Number of injective edge-preserving maps V(F) -> V(G)."""
+    return sum(1 for _ in _search(_plan(f.graph, ()), g))
+
+
+def even_cycle_rows(n: int, edges):
+    """Rows e_u + e_v of the even-cycle matroid; over GF(p), p odd, their rank
+    is exactly n - b(G), b(G) counting bipartite components."""
+    for u, v in edges:
+        row = [0] * n
+        row[u] = row[v] = 1
+        yield row
 
 
 def validates_naive(mapping, g: Graph, f: Pattern, through=None) -> bool:

@@ -15,7 +15,6 @@ from wsat import (
     contains_copy,
     copy_through_edge,
     count_copies,
-    count_injective_maps,
     cycle,
     greedy_upper_bound,
     matching,
@@ -26,7 +25,7 @@ from wsat import (
 )
 from wsat.patterns import _maps_through, _matching_order, _plan, _search
 from conftest import random_host, small_hosts
-from oracles import every_map, validates_naive
+from oracles import count_injective_maps, every_map, validates_naive
 
 
 def test_normalize_strips_isolated_vertices():

@@ -1,6 +1,6 @@
 import dataclasses
 from itertools import combinations, count
-from math import comb
+from math import comb, inf
 from types import SimpleNamespace
 
 import pytest
@@ -33,9 +33,10 @@ from wsat import (
     wsat_exact,
 )
 from wsat import solver
-from wsat.solver import _qualifying, _rank_bound
+from wsat.solver import (
+    _counted_rank, _qualifying, _rank, _rank_bound, _rigidity_rank, _rigidity_rows)
 from conftest import random_host, small_hosts
-from oracles import every_map, greedy_naive, wsat_exact_naive
+from oracles import even_cycle_rows, every_map, greedy_naive, wsat_exact_naive
 
 
 def test_lower_bound_examples(k3, k13):
@@ -213,6 +214,31 @@ def test_rank_bound_below_naive(n, p, seed, isolate):
         bound = _rank_bound(g, f)
         if bound:  # a zero bound holds trivially, and the oracle is slow
             assert bound <= wsat_exact_naive(g, f)
+
+
+# a triangle, a path and an isolated vertex with interleaved labels: an odd
+# cycle next to a bipartite component
+MIXED = Graph(7, [(0, 3), (3, 5), (0, 5), (1, 4), (4, 6)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hosts(max_n=8))
+@example(MIXED)
+@example(Graph(7, MIXED.edges()[::-1]))
+@example(Graph(8, MIXED.edges() + [(2, 7)]))
+@example(complete(1))
+@example(complete(3))
+@example(complete(4))
+@example(complete(6))
+def test_counted_ranks_match_elimination(g):
+    # equal to elimination at the seeded points keeps every start level, and
+    # so every output, as it was; never below it keeps the bound sound
+    edges = g.edges()
+    assert _counted_rank(True, g.n, edges) == _rank(even_cycle_rows(g.n, edges), inf)
+    assert _counted_rank(False, g.n, edges) == _rank(_rigidity_rows(1, g.n, edges), inf)
+    # stopping at the rank of K_n changes no rank, n <= d + 1 included
+    for d in (2, 3):
+        assert _rigidity_rank(d, g.n, edges) == _rank(_rigidity_rows(d, g.n, edges), inf)
 
 
 def test_rank_bound_tight_on_cliques():
