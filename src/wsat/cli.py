@@ -56,7 +56,7 @@ USAGE_ERRORS = (ParameterError, GraphParseError)
 
 
 def parse_graph_arg(spec: str, seed: int = 0) -> Graph:
-    """Edge-list file path or family:params shorthand; an existing file wins."""
+    """Edge-list file path or family:params shorthand; an existing file or a .el path wins."""
     if ":" in spec and not spec.endswith(".el") and not os.path.isfile(spec):
         tag, _, params = spec.partition(":")
         parts = [p for p in params.split(",") if p]

@@ -155,7 +155,7 @@ def neighborhood_property_check(
         common = common_neighbors(g, sub)
         if len(common) >= need:
             big += 1
-        if k == 2 and next(_search(plan, g, [*sub] + [-1] * (f.s - 2), sub), None) is not None:
+        if k == 2 and next(_search(plan, g, [*sub] + [-1] * (f.s - 2)), None) is not None:
             cliqued += 1
     out = {
         "subsets_checked": len(subsets),

@@ -116,39 +116,37 @@ def normalize_pattern(f: Graph) -> Pattern:
 
 def _plan(pat: Graph, pinned: tuple[int, ...], breaks=()) -> tuple:
     """The vertices ``_search`` places, in matching order, as rows (pv, nbrs,
-    lows, deg): pv's neighbours placed before it, the b of each break (b, pv)
-    (matching order places b first) and pv's degree.  No row checks an edge
-    between two ``pinned`` vertices; a caller pinning both ends checks it."""
+    lows): pv's neighbours placed before it and the b of each break (b, pv)
+    (matching order places b first).  No row checks an edge between two
+    ``pinned`` vertices; a caller pinning both ends checks it."""
     placed = set(pinned)
     plan = []
     for pv in _matching_order(pat):
         if pv not in placed:
             plan.append((pv, tuple(pu for pu in pat.adj[pv] if pu in placed),
-                         tuple(b for b, w in breaks if w == pv), len(pat.adj[pv])))
+                         tuple(b for b, w in breaks if w == pv)))
             placed.add(pv)
     return tuple(plan)
 
 
-def _search(plan: tuple, host, mapping: list[int] | None = None, pinned=()):
-    """The library's one search loop: extend ``mapping``, which holds the
-    ``pinned`` host vertices (None: no pins), over ``plan``'s rows, yielding
-    the one live ``mapping`` (copy it to keep it); ``host`` needs only ``.n`` and
+def _search(plan: tuple, host, mapping: list[int] | None = None):
+    """The library's one search loop: extend ``mapping`` (the pinned host
+    vertices, -1 elsewhere; None: no pins) over ``plan``'s rows, yielding the
+    one live ``mapping`` (copy it to keep it); ``host`` needs only ``.n`` and
     ``.adj``.  Depth-first with an explicit stack of candidate iterators,
     candidates ascending.  A vertex's pool is the sorted host neighbourhood of
     its one placed neighbour, or one ``&`` of two, or one intersection of
-    three or more; with none placed, every host vertex."""
+    three or more; with none placed, every host vertex.  A candidate is free
+    when ``mapping`` does not hold it; a row clears its slot before it scans."""
     if mapping is None:
         mapping = [-1] * len(plan)
     adj = host.adj
-    used = [False] * host.n
-    for hv in pinned:
-        used[hv] = True
     if not plan:
         yield mapping
         return
 
     def pool(row):  # one set operation, then past the row's breaks
-        _, nbrs, lows, _ = row
+        _, nbrs, lows = row
         if not nbrs:
             cands = range(host.n)
         elif len(nbrs) == 1:  # .intersection() of nothing would copy the set
@@ -166,20 +164,18 @@ def _search(plan: tuple, host, mapping: list[int] | None = None, pinned=()):
     stack = [iter(pool(plan[0]))]
     while stack:
         i = len(stack) - 1
-        pv, _, _, deg = plan[i]
+        pv = plan[i][0]
+        mapping[pv] = -1
         for hv in stack[i]:
-            if not used[hv] and len(adj[hv]) >= deg:
+            if hv not in mapping:
                 break
         else:
             stack.pop()
-            if i:
-                used[mapping[plan[i - 1][0]]] = False
             continue
         mapping[pv] = hv
-        if i == last:  # no deeper level reads ``used``, so it is not set
+        if i == last:
             yield mapping
         else:
-            used[hv] = True
             stack.append(iter(pool(plan[i + 1])))
 
 
@@ -229,7 +225,7 @@ def _maps_through(g, f: Pattern, u: int, v: int):
     for a, b, size, plan in f.anchors:
         start = [-1] * f.s
         start[a], start[b] = u, v
-        for mapping in _search(plan, g, start, (u, v)):
+        for mapping in _search(plan, g, start):
             yield mapping, size
 
 

@@ -9,6 +9,7 @@ from wsat import (
     Seed,
     complete,
     complete_bipartite,
+    cycle,
     normalize_pattern,
     path,
     sample_gnp,
@@ -59,6 +60,18 @@ def small_hosts(draw, max_n: int = 7) -> Graph:
     pairs = [(u, v) for u, v in combinations(range(n), 2) if (u < cut) == (v < cut)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def copy_hosts(draw) -> Graph:
+    """Two or three copies of one small graph placed on the same 3..6
+    vertices, so that they are disjoint or overlap, plus an isolated last
+    vertex.  Many edges are interchangeable, so the first weakly saturated
+    subgraph has a real choice of edges."""
+    base = draw(st.sampled_from([complete(3), path(3), path(4), cycle(4), star(3)]))
+    n = draw(st.integers(base.n, 6))
+    places = draw(st.lists(st.permutations(range(n)), min_size=2, max_size=3))
+    return Graph(n + 1, {tuple(sorted((p[u], p[v]))) for p in places for u, v in base.edges()})
 
 
 def random_spanning_subgraph(g: Graph, keep: float, seed: int) -> Graph:

@@ -3,12 +3,13 @@
 
 All are deliberately unoptimized: ``closure_naive`` rescans every missing
 edge after each addition, ``closure_requeue_all`` re-tests every set-aside
-edge after each addition, ``wsat_exact_naive`` tries every edge subset in
-increasing size, ``greedy_naive`` re-enumerates every map of F into the
-current graph in each deletion round, ``count_injective_maps`` counts maps
-with no symmetry breaking, and ``even_cycle_rows`` gives the even-cycle
-matroid as rows for a Gaussian elimination.  They are not part of the
-``wsat`` package.
+edge after each addition, ``first_saturated_naive`` tries every edge subset
+in the exact search's order and returns the first weakly saturated one
+(``wsat_exact_naive`` gives its size), ``greedy_naive`` re-enumerates
+every map of F into the current graph in each deletion round,
+``count_injective_maps`` counts maps with no symmetry breaking, and
+``even_cycle_rows`` gives the even-cycle matroid as rows for a Gaussian
+elimination.  They are not part of the ``wsat`` package.
 """
 
 from collections import Counter, deque
@@ -45,7 +46,7 @@ def every_map(pat: Graph, host, fixed: dict[int, int] | None = None) -> list[tup
     No pattern edge between two pinned vertices is checked."""
     fixed = fixed or {}
     mapping = [fixed.get(pv, -1) for pv in range(pat.n)]
-    return [tuple(m) for m in _search(_plan(pat, tuple(fixed)), host, mapping, fixed.values())]
+    return [tuple(m) for m in _search(_plan(pat, tuple(fixed)), host, mapping)]
 
 
 def count_injective_maps(g, f: Pattern) -> int:
@@ -129,18 +130,27 @@ def closure_requeue_all(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
 
 
 def wsat_exact_naive(g: Graph, f: Pattern) -> int:
-    """Unpruned enumeration oracle: smallest k whose k-edge spanning subgraphs
-    contain a weakly saturated one.  Test-grade, no budget, no filters."""
+    """Unpruned enumeration oracle: the fewest edges of a weakly saturated
+    spanning subgraph.  Test-grade, no budget, no filters."""
+    return first_saturated_naive(g, f).m_edges
+
+
+def first_saturated_naive(g: Graph, f: Pattern) -> Graph:
+    """The first weakly saturated spanning subgraph in ``wsat_exact``'s order:
+    fewest edges, then colex on the kept edges, which is lex on the left-out
+    edges of the reversed edge list.  Any edge may be left out, and each
+    subgraph is tested by ``is_weakly_saturated``; an F-free host is its own
+    only weakly saturated subgraph."""
     from itertools import combinations
 
     if not contains_copy(g, f):
-        return g.m_edges
-    edges = g.edges()
-    for k in range(0, g.m_edges + 1):
-        for subset in combinations(edges, k):
-            h = Graph(g.n, subset)
+        return g
+    edges = g.edges()[::-1]
+    for k in range(g.m_edges, -1, -1):
+        for dropped in combinations(edges, k):
+            h = Graph(g.n, g.edge_set.difference(dropped))
             if is_weakly_saturated(g, f, h):
-                return k
+                return h
     raise AssertionError("unreachable")
 
 

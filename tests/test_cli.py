@@ -191,6 +191,11 @@ def test_profile_command(capsys):
     assert code == 0 and doc["d_f"] == -1 and doc["k"] == 3
 
 
+def test_profile_nmax_below_s_minus_one_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "profile", "--pattern", "complete:4", "--nmax", "2")
+    assert code == 2 and out == "" and "n_max must be at least s-1" in err
+
+
 def test_experiment_command_and_csv(capsys, tmp_path):
     csv_path = tmp_path / "report.csv"
     argv = ["experiment", "scan", "--pattern", "complete:3",

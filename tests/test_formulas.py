@@ -192,6 +192,11 @@ def test_stability_profile_k4(k4):
     assert (prof.d_F, prof.k) == (-3, 4)
 
 
+def test_stability_profile_rejects_nmax_below_s_minus_one(k4):
+    with pytest.raises(ParameterError, match="n_max must be at least s-1 = 3"):
+        stability_profile(k4, 2)
+
+
 def test_stability_profile_stops_at_budget():
     # K5 is free of K_{2,4}, so n = 5 is solved; K6 needs more than 5 nodes
     prof = stability_profile(normalize_pattern(complete_bipartite(2, 4)), 7,

@@ -35,8 +35,9 @@ from wsat import (
 from wsat import solver
 from wsat.solver import (
     _counted_rank, _qualifying, _rank, _rank_bound, _rigidity_rank, _rigidity_rows)
-from conftest import random_host, small_hosts
-from oracles import even_cycle_rows, every_map, greedy_naive, wsat_exact_naive
+from conftest import copy_hosts, random_host, small_hosts
+from oracles import (
+    even_cycle_rows, every_map, first_saturated_naive, greedy_naive, wsat_exact_naive)
 
 
 def test_lower_bound_examples(k3, k13):
@@ -179,6 +180,16 @@ def test_exact_search_keeps_edges_in_no_copy(host, pattern):
     in_copy = {tuple(sorted((m[a], m[b]))) for m in every_map(f.graph, host)
                for a, b in f.graph.edges()}
     assert host.edge_set - in_copy <= res.certificate[0].edge_set
+
+
+@settings(max_examples=100, deadline=None)
+@given(copy_hosts(), st.sampled_from([complete(3), path(3), cycle(4), star(3), matching(2)]))
+def test_certificate_matches_first_saturated_subgraph(host, pattern):
+    # the oracle may leave out any edge, so a search that also kept an edge of
+    # some copy of F, where the copies' edges are interchangeable, would skip
+    # the oracle's subgraph and return a later one
+    f = normalize_pattern(pattern)
+    assert wsat_exact(host, f).certificate[0].edges() == first_saturated_naive(host, f).edges()
 
 
 def test_exact_search_skips_a_pendant_path(k3):
