@@ -127,8 +127,9 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
             continue
         steps.append((e, w))
         touched[x] = touched[y] = len(steps)
-        queue.extend(sorted(stalled.items()))
-        stalled.clear()
+        if stalled:
+            queue.extend(sorted(stalled.items()))
+            stalled.clear()
     return ClosureResult(host, ActivationTrace(steps), frozenset(stalled))
 
 

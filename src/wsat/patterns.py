@@ -233,16 +233,23 @@ def copy_through_edge(g, f: Pattern, e: Edge) -> Optional[CopyWitness]:
     """First (deterministic) copy of F in G whose image contains the edge e,
     or None when no copy through e exists.
 
-    Anchors one oriented pattern edge per Aut(F)-orbit onto e and extends
-    by backtracking.  Anchoring every oriented edge finds the same witness:
-    its first success is the first anchor of its orbit, since that anchor
-    succeeds too and every anchor before the success failed.
+    Anchors one oriented pattern edge (a, b) per Aut(F)-orbit onto e, unless
+    an end of e has fewer neighbours than its pattern vertex (no injective map
+    exists then), and extends by backtracking.  Anchoring every oriented edge
+    finds the same witness: its first success is the first anchor of its
+    orbit, since that anchor succeeds too and every anchor before it failed.
     """
     u, v = e
     if u > v:
         u, v = v, u
-    if v not in g.adj[u]:
+    adj, fadj = g.adj, f.graph.adj
+    if v not in adj[u]:
         raise ParameterError(f"edge ({u},{v}) not present in host")
-    for mapping, _ in _maps_through(g, f, u, v):
-        return CopyWitness(tuple(mapping))
+    for a, b, _, plan in f.anchors:
+        if len(adj[u]) < len(fadj[a]) or len(adj[v]) < len(fadj[b]):
+            continue
+        start = [-1] * f.s
+        start[a], start[b] = u, v
+        for mapping in _search(plan, g, start):
+            return CopyWitness(tuple(mapping))
     return None

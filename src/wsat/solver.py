@@ -181,13 +181,14 @@ def wsat_exact(
     rank bound and half the sum over v of min{d_G(v), delta(F)-1}, rounded
     up (a solved result still reports the general bound as ``lower``); at
     each k, enumerates k-edge spanning subgraphs, discards any whose vertex
-    degrees fall below min{d_G(v), delta(F)-1}, then tests percolation.  A
-    copy of F through e in H would let the closure of H - e add e back, so a
-    fewest-edge percolating H is F-free, and the first percolating subset is
-    one because every start term is a lower bound on wsat.  Every edge in no
-    copy of F is kept, each level walks only the other edges, and ``nodes``
-    counts subsets of those edges.  If no edge is in a copy, the host is the
-    unique weakly saturated graph and the answer is |E(G)| immediately.
+    degrees fall below min{d_G(v), delta(F)-1}, or that keeps no edge the
+    last failed closure missed (closures are monotone, so it fails too),
+    then tests percolation.  A fewest-edge percolating H is F-free (the
+    closure of H - e would add e back through a copy), and the first one
+    found is one because every start term is a lower bound on wsat.  Every
+    edge in no copy of F is kept, each level walks only the other edges, and
+    ``nodes`` counts every subset of those edges reached, skipped or not.
+    If no edge is in a copy, H = G is forced: the answer is |E(G)| at once.
     """
     budget = budget or SearchBudget()
     start = time.monotonic()
@@ -212,6 +213,7 @@ def wsat_exact(
     # below half the degree sum the degree filter rejects every k-subset
     k = max(lower, _rank_bound(g, f), -(-sum(need) // 2))
     nodes = 0
+    missed: frozenset = frozenset()  # the missing edges of the last failed closure
 
     while k <= m:
         # lex order on the m - k left-out edges of the reversed edge list is
@@ -224,10 +226,12 @@ def wsat_exact(
             for u, v in dropped:
                 deg[u] -= 1
                 deg[v] -= 1
-            if any(deg[v] < need[v] for v in range(g.n)):
+            if any(deg[v] < need[v] for v in range(g.n)) or (
+                    missed and missed.issubset(dropped)):
                 continue
             h = Graph(g.n, g.edge_set.difference(dropped))
             res = closure(g, f, h)
+            missed = res.missing
             if res.percolates:
                 return WsatResult(
                     lower=lower,

@@ -74,6 +74,20 @@ def copy_hosts(draw) -> Graph:
     return Graph(n + 1, {tuple(sorted((p[u], p[v]))) for p in places for u, v in base.edges()})
 
 
+@st.composite
+def star_hosts(draw) -> Graph:
+    """Three to five copies of K_{1,3} on the vertices 2..n+1 (n = 4..6), less
+    any edge ab between two of them, plus the edges 0a, 0b and 01.  The
+    lowest host edge, (0, 1), lies in a copy of K_{1,3}, but a closure that
+    reaches 0a and 0b adds it, and keeping it is often a wasted edge, so the
+    first weakly saturated subgraph for K_{1,3} often leaves it out."""
+    n = draw(st.integers(4, 6))
+    stars = draw(st.lists(st.permutations(range(2, n + 2)), min_size=3, max_size=5))
+    a, b = sorted(draw(st.permutations(range(2, n + 2)))[:2])
+    edges = {tuple(sorted((p[0], x))) for p in stars for x in p[1:4]}
+    return Graph(n + 2, edges - {(a, b)} | {(0, 1), (0, a), (0, b)})
+
+
 def random_spanning_subgraph(g: Graph, keep: float, seed: int) -> Graph:
     rng = Seed(seed).rng()
     return Graph(g.n, (e for e in g.edges() if rng.random() < keep))

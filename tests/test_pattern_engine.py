@@ -244,6 +244,9 @@ def test_anchor_orbits():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 10), st.floats(0.1, 1.0), st.integers(0, 2**32))
+# K_{1,3} centred at 3: through (0, 3) the first K_{1,3} anchor, which puts the
+# centre on 0, is skipped by degree (d(0) = 1 < 3), and the second finds the map
+@example(4, 0.5, 29)
 def test_orbit_pruning_matches_all_anchor_loop(n, p, seed):
     g = sample_gnp(n, p, Seed(seed))
     for f in ORBIT_PATTERNS.values():

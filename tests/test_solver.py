@@ -35,7 +35,7 @@ from wsat import (
 from wsat import solver
 from wsat.solver import (
     _counted_rank, _qualifying, _rank, _rank_bound, _rigidity_rank, _rigidity_rows)
-from conftest import copy_hosts, random_host, small_hosts
+from conftest import copy_hosts, random_host, small_hosts, star_hosts
 from oracles import (
     even_cycle_rows, every_map, first_saturated_naive, greedy_naive, wsat_exact_naive)
 
@@ -165,6 +165,23 @@ def test_certificate_is_first_saturated_subset_in_colex_order(host, pattern):
     assert not contains_copy(first, f)
 
 
+def test_search_skips_subsets_inside_the_last_failed_closure(monkeypatch, k23):
+    # the closure is monotone, so a subset whose kept edges all lie in the
+    # last failed closure fails too and is counted in nodes unclosed; closing
+    # every subset that passed the degree filter took 35 and 123 closures here
+    close, calls = solver.closure, []
+
+    def counted(*args):
+        calls.append(None)
+        return close(*args)
+
+    monkeypatch.setattr(solver, "closure", counted)
+    for n, nodes in ((6, 41), (7, 171)):
+        calls.clear()
+        assert wsat_exact(complete(n), k23).nodes == nodes
+        assert len(calls) <= 4
+
+
 # K4 and K_{2,3} are left out: the oracle takes seconds on a dense 6-vertex host
 @settings(max_examples=100, deadline=None)
 @given(small_hosts(6), st.sampled_from([complete(3), path(3), cycle(4), star(3), matching(2)]))
@@ -183,11 +200,15 @@ def test_exact_search_keeps_edges_in_no_copy(host, pattern):
 
 
 @settings(max_examples=100, deadline=None)
-@given(copy_hosts(), st.sampled_from([complete(3), path(3), cycle(4), star(3), matching(2)]))
-def test_certificate_matches_first_saturated_subgraph(host, pattern):
+@given(st.one_of(
+    st.tuples(copy_hosts(), st.sampled_from([complete(3), path(3), cycle(4), star(3), matching(2)])),
+    st.tuples(star_hosts(), st.just(star(3)))))
+def test_certificate_matches_first_saturated_subgraph(case):
     # the oracle may leave out any edge, so a search that also kept an edge of
     # some copy of F, where the copies' edges are interchangeable, would skip
-    # the oracle's subgraph and return a later one
+    # the oracle's subgraph and return a later one; on star hosts, one that
+    # kept the lowest edge in a copy would keep (0, 1)
+    host, pattern = case
     f = normalize_pattern(pattern)
     assert wsat_exact(host, f).certificate[0].edges() == first_saturated_naive(host, f).edges()
 
