@@ -95,40 +95,27 @@ def closure(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
     """Compute the F-closure of ``seed`` inside ``host`` with a full trace.
 
     Candidates that find no copy are set aside; every successful addition
-    re-enqueues all of them, since the new edge may complete a copy through
-    any of them.  The loop ends with the queue empty, so the set-aside edges
-    are exactly ``missing``, the host edges the closure does not reach.
-
-    For F = K_s, a re-enqueued edge xy goes back aside unsearched unless an
-    edge added since xy last failed touched a common neighbour z of x and y.
-    Sound: a new K_s through xy holds an edge added since, which has an end
-    z other than x and y; z is in the K_s, so a common neighbour.  The queue
-    order, and so the trace, is unchanged.
+    re-enqueues all of them, sorted, since the new edge may complete a copy
+    through any of them.  The loop ends with the queue empty, so the set-aside
+    edges are exactly ``missing``, the host edges the closure does not reach.
     """
     if not seed.is_spanning_subgraph_of(host):
         raise PreconditionError("seed must be a spanning subgraph of the host")
     work = _Work(seed)
-    queue = deque((e, None) for e in sorted(host.edge_set - seed.edge_set))
-    stalled: dict[Edge, int | None] = {}  # len(steps) at its last failure if F = K_s, else None
+    queue = deque(sorted(host.edge_set - seed.edge_set))
+    stalled: list[Edge] = []
     steps: list[tuple[Edge, CopyWitness]] = []
-    clique = 2 * f.t == f.s * (f.s - 1)
-    touched = [0] * host.n  # len(steps) after the last added edge at v
     while queue:
-        e, k = queue.popleft()
-        x, y = e
-        if k is not None and not any(touched[z] > k for z in work.adj[x] & work.adj[y]):
-            stalled[e] = k
-            continue
-        work.add(x, y)
+        e = queue.popleft()
+        work.add(*e)
         w = copy_through_edge(work, f, e)
         if w is None:
-            work.remove(x, y)
-            stalled[e] = len(steps) if clique else None
+            work.remove(*e)
+            stalled.append(e)
             continue
         steps.append((e, w))
-        touched[x] = touched[y] = len(steps)
         if stalled:
-            queue.extend(sorted(stalled.items()))
+            queue.extend(sorted(stalled))
             stalled.clear()
     return ClosureResult(host, ActivationTrace(steps), frozenset(stalled))
 

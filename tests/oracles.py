@@ -2,7 +2,6 @@
 ``validate``, a full re-check of a graph's adjacency sets.
 
 All are deliberately unoptimized: ``closure_naive`` rescans every missing
-edge after each addition, ``closure_requeue_all`` re-tests every set-aside
 edge after each addition, ``first_saturated_naive`` tries every edge subset
 in the exact search's order and returns the first weakly saturated one
 (``wsat_exact_naive`` gives its size), ``greedy_naive`` re-enumerates
@@ -12,7 +11,7 @@ every map of F into the current graph in each deletion round,
 elimination.  They are not part of the ``wsat`` package.
 """
 
-from collections import Counter, deque
+from collections import Counter
 
 from wsat.bootstrap import (
     ActivationTrace,
@@ -103,30 +102,6 @@ def closure_naive(host: Graph, f: Pattern, seed: Graph, scan_order=None) -> Clos
                 missing.remove(e)
                 progress = True
     return ClosureResult(host, ActivationTrace(steps), frozenset(missing))
-
-
-def closure_requeue_all(host: Graph, f: Pattern, seed: Graph) -> ClosureResult:
-    """``closure``'s work queue without its clique wake-up rule: every
-    successful addition re-tests every set-aside edge.  Same queue order, so
-    the same trace, step for step."""
-    if not seed.is_spanning_subgraph_of(host):
-        raise PreconditionError("seed must be a spanning subgraph of the host")
-    work = _Work(seed)
-    queue = deque(sorted(host.edge_set - seed.edge_set))
-    stalled: set[Edge] = set()
-    steps: list[tuple[Edge, CopyWitness]] = []
-    while queue:
-        e = queue.popleft()
-        work.add(*e)
-        w = copy_through_edge(work, f, e)
-        if w is None:
-            work.remove(*e)
-            stalled.add(e)
-            continue
-        steps.append((e, w))
-        queue.extend(sorted(stalled))
-        stalled.clear()
-    return ClosureResult(host, ActivationTrace(steps), frozenset(stalled))
 
 
 def wsat_exact_naive(g: Graph, f: Pattern) -> int:

@@ -1,6 +1,4 @@
-import random
 from functools import reduce
-from math import comb
 from operator import and_
 
 import pytest
@@ -23,16 +21,13 @@ from wsat import (
     matching,
     normalize_pattern,
     path,
-    sample_gnp,
     star,
     verify_trace,
     verify_trace_detailed,
 )
-from wsat import bootstrap
 from wsat.bootstrap import saturation_failure
 from conftest import random_host, random_spanning_subgraph, small_hosts
-import oracles
-from oracles import closure_naive, closure_requeue_all
+from oracles import closure_naive
 
 
 def _pad(g: Graph, n: int) -> Graph:
@@ -254,14 +249,25 @@ def test_disconnected_pattern_closure(k3):
     assert verify_trace(host, m2, seed, res.trace)
 
 
-WAKE_PATTERNS = [normalize_pattern(g) for g in (
+def test_closure_requeues_set_aside_edges_in_sorted_order(k13):
+    # 34 fails before 13 and 14 do; once 23 is added the three are re-queued
+    # sorted, so 34 comes last (in failure order it would precede 13 and 14)
+    host = Graph(6, [(0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
+                     (3, 4), (4, 5)])
+    seed = Graph(6, [(0, 2), (0, 3), (0, 5), (4, 5)])
+    res = closure(host, k13, seed)
+    assert [list(e) for e, _ in res.trace.steps] == [
+        [1, 5], [2, 5], [2, 3], [2, 4], [1, 3], [1, 4], [3, 4]]
+    assert res.percolates
+
+
+CLOSURE_PATTERNS = [normalize_pattern(g) for g in (
     complete(2), complete(3), complete(4), complete(5), path(3), cycle(4), star(3),
     complete_bipartite(2, 3), matching(2), Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]))]
 
 # K4 on six vertices, seeded with every edge but (0, 1) and (2, 3): (0, 1)
 # fails while (2, 3) is missing, then (2, 3) is added through {2, 3, 4, 5},
-# which touches neither 0 nor 1 but two of their common neighbours, and
-# (0, 1) must be woken to complete {0, 1, 2, 3}
+# and (0, 1) must be re-tested to complete {0, 1, 2, 3}
 WAKE_HOST = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (2, 5),
                       (3, 4), (3, 5), (4, 5)])
 
@@ -277,37 +283,13 @@ SEED_MASKS = st.lists(MASK_BITS, min_size=1, max_size=3).map(lambda masks: reduc
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(small_hosts(8), st.integers(1, 10).map(complete)), SEED_MASKS)
 @example(WAKE_HOST, 0b11111011110)
-def test_closure_matches_requeue_all(host, mask):
-    # bit i of mask keeps the i-th host edge in the seed; the clique wake-up
-    # rule skips only searches that would fail, so every step is the same.
-    # Complete hosts make long K4 and K5 chains, which wake edges often
+def test_closure_matches_naive(host, mask):
+    # bit i of mask keeps the i-th host edge in the seed.  Complete hosts make
+    # long K4 and K5 chains, which re-test set-aside edges often
     seed = Graph(host.n, [e for i, e in enumerate(host.edges()) if mask >> i & 1])
-    for f in WAKE_PATTERNS:
-        res, ref = closure(host, f, seed), closure_requeue_all(host, f, seed)
-        assert res.trace.to_json() == ref.trace.to_json()
+    for f in CLOSURE_PATTERNS:
+        res, ref = closure(host, f, seed), closure_naive(host, f, seed)
         assert res.missing == ref.missing
         assert res.closure == ref.closure
         assert res.percolates is ref.percolates
-
-
-@pytest.mark.parametrize("pattern,fewer", [(complete(4), True), (cycle(4), False)])
-def test_clique_wake_up_skips_searches(monkeypatch, pattern, fewer):
-    # the LARGE_HOST_TRACE_PINS host: K4's closure skips re-tests whose common
-    # neighbourhood has not changed, C4's re-tests every set-aside edge
-    host = sample_gnp(30, 0.5, Seed(30))
-    seed = Graph(30, random.Random(30).sample(sorted(host.edge_set), round(0.15 * comb(30, 2))))
-    f = normalize_pattern(pattern)
-    search, calls = bootstrap.copy_through_edge, []
-
-    def counted(*args):
-        calls.append(None)
-        return search(*args)
-
-    monkeypatch.setattr(bootstrap, "copy_through_edge", counted)
-    monkeypatch.setattr(oracles, "copy_through_edge", counted)
-    res = closure(host, f, seed)
-    ours = len(calls)
-    ref = closure_requeue_all(host, f, seed)
-    theirs = len(calls) - ours
-    assert res.trace.to_json() == ref.trace.to_json()
-    assert ours < theirs if fewer else ours == theirs
+        assert verify_trace(host, f, seed, res.trace)
